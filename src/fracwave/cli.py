@@ -15,13 +15,12 @@ import sys
 import numpy as np
 
 from . import fileio
-from .fractal import scale_count
+from .fractal import FractalOperator, scale_count
 from .harness import (ExperimentSpec, draw_screen, run_bench, run_simulation,
                       run_sf_validation, trial_generator)
 from .sensor import make_pupil, simulate_measurements
 from .solver import VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
-from .fractal import FractalOperator
 
 
 def _parse_scales(text: str) -> list[int]:

@@ -116,8 +116,11 @@ class ShackHartmann:
         self._ie = sy * n + sx + 1
         self._in = (sy + 1) * n + sx
         self._ine = (sy + 1) * n + sx + 1
-        edges = set(zip(sx.tolist(), sy.tolist())) | set(zip((sx + 1).tolist(), sy.tolist()))
-        self.n_edges = len(edges)
+        # Each subaperture has a left and a right vertical edge; a
+        # horizontally adjacent pair shares one.
+        occupied = np.zeros(n * n, dtype=bool)
+        occupied[self._i00] = True
+        self.n_edges = 2 * pupil.nsub - int(np.count_nonzero(occupied[self._ie]))
         self._flops = 2 * self.n_edges + 2 * pupil.nsub
 
     def _flat(self, w) -> np.ndarray:

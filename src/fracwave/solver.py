@@ -16,25 +16,32 @@ matrix is ever formed.  Two diagonal preconditioners are available:
 Jacobi (the operator diagonal) and a diagonal that weights each slot by
 diag(A) over the squared row norm, which minimises the Frobenius
 distance between the preconditioned operator and the identity.  Both
-need one operator application per basis vector, a one-time cost that is
-cached on disk.
+statistics come exactly from a colored probe of a few hundred operator
+applications, a one-time cost that is cached on disk.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
+import logging
 import math
 import os
 import tempfile
+import time
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .fractal import FractalOperator
+from .fractal import FractalOperator, scale_count
 from .metrics import FlopCounter, residual_stats, strehl_ratio
 from .sensor import Pupil, ShackHartmann, SlopeSet, make_pupil
 from .turbulence import kolmogorov
+
+log = logging.getLogger(__name__)
 
 # method string -> (unknown space, preconditioner kind)
 VARIANTS = {
@@ -152,26 +159,106 @@ class DiagonalPreconditioner:
         return self.values * r
 
 
-def operator_diagonal_stats(apply_fn, n: int, batch_size: int | None = None):
-    """diag(A) and row square-sums of a symmetric operator on n x n grids.
+# Chebyshev radius, in lattice steps h of a pass, within which a column
+# placed at that pass couples to rows placed at that pass or any finer
+# one: 4h for A_u and 2h for A_w (measured on the dense operators at
+# p = 4..6).  Same-colour columns sit 2 * radius + 1 steps apart, so each
+# such row sees at most one of them.  An even stride fails: a row exactly
+# at the radius ties between two columns.
+PROBE_STRIDE = {"u": 9, "w": 5}
 
-    Applies A to every basis vector (in batches): the i-th application
-    yields A e_i, whose i-th entry is the diagonal and whose squared norm
-    is the i-th row square-sum.
+
+def _sample_passes(p: int) -> np.ndarray:
+    """Refinement pass that places each sample of a (2**p + 1)-side grid.
+
+    The four corners are pass 0; pass L places the samples of the lattice
+    with step 2**(p - L) that no coarser lattice holds.
     """
+    n = (1 << p) + 1
+    valuation = np.array([p if i == 0 else (i & -i).bit_length() - 1 for i in range(n)])
+    return p - np.minimum.outer(valuation, valuation)
+
+
+def _pass_colours(passes, level: int, stride: int):
+    """Colour classes of one pass as (owner, owned, member) grids.
+
+    Colour (cy, cx) holds the pass's samples at lattice coordinates
+    congruent to (cy, cx) modulo ``stride``.  ``owner`` is the flat index
+    of the nearest same-colour lattice point, taken per axis; ``owned``
+    marks the rows at this pass or finer whose owner is a sample of this
+    pass; ``member`` marks the colour's own samples.  Empty colours are
+    skipped.
+    """
+    n = passes.shape[0]
+    step = (n - 1) >> level
+    span = stride * step
+    k = np.arange(n)
+    axes = []
+    for c in range(min(stride, (1 << level) + 1)):
+        near = c * step + span * ((2 * (k - c * step) + span) // (2 * span))
+        axes.append(np.where((near >= 0) & (near < n), near, -1))
+    flat_passes = passes.ravel()
+    index = np.arange(n * n).reshape(n, n)
+    reached = passes >= level
+    for oy in axes:
+        for ox in axes:
+            inside = (oy >= 0)[:, None] & (ox >= 0)[None, :]
+            owner = np.where(inside, oy[:, None] * n + ox[None, :], 0)
+            owned = inside & (flat_passes[owner] == level) & reached
+            member = owned & (owner == index)
+            if member.any():
+                yield owner, owned, member
+
+
+def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
+    """diag(A) and row square-sums of a normal operator by colored probing.
+
+    Column-partition probing (Curtis, Powell & Reid 1974), with colours
+    taken from the refinement passes.  Each probe applies A to the sum of
+    one colour's columns.  A row placed at that pass or finer meets at
+    most one of them, its owner, so it reads the entry A[row, owner]
+    exactly.  Rows from coarser passes are skipped: A is symmetric, so
+    their entries are read from the coarser probe instead.  The owner
+    gets the square of every entry it is read from.  A row from a strictly
+    finer pass also gets that square, as its entry against the owner.
+    That takes about stride**2 probes per pass, O(N log N) work in all.
+
+    A row with no owner must read exactly zero; a nonzero there means
+    the operator couples farther than ``PROBE_STRIDE`` allows, and raises
+    RuntimeError.
+    """
+    n = op.n
+    p = scale_count(n)
     size = n * n
     if batch_size is None:
         batch_size = max(1, min(512, (1 << 23) // size))
-    diag = np.empty(size)
-    rowsq = np.empty(size)
-    for start in range(0, size, batch_size):
-        idx = np.arange(start, min(start + batch_size, size))
-        basis = np.zeros((idx.size, size))
-        basis[np.arange(idx.size), idx] = 1.0
-        out = apply_fn(basis.reshape(idx.size, n, n)).reshape(idx.size, size)
-        diag[idx] = out[np.arange(idx.size), idx]
-        rowsq[idx] = np.einsum("ij,ij->i", out, out)
-    return diag.reshape(n, n), rowsq.reshape(n, n)
+    start = time.perf_counter()
+    passes = _sample_passes(p)
+    diag = np.zeros((n, n))
+    rowsq = np.zeros(size)
+    probes = 0
+    for level in range(p + 1):
+        reached = passes >= level
+        finer = np.zeros((n, n))
+        colours = _pass_colours(passes, level, PROBE_STRIDE[op.space])
+        while batch := list(itertools.islice(colours, batch_size)):
+            basis = np.zeros((len(batch), n, n))
+            for grid, (_, _, member) in zip(basis, batch):
+                grid[member] = 1.0
+            for y, (owner, owned, member) in zip(op.apply(basis), batch):
+                if np.any(y[reached & ~owned]):
+                    raise RuntimeError(
+                        f"pass {level} probe reached a row outside the probe stride"
+                    )
+                sq = y * y
+                diag[member] = y[member]
+                rowsq += np.bincount(owner[owned], sq[owned], minlength=size)
+                finer += sq
+            probes += len(batch)
+        rowsq += np.where(passes > level, finer, 0.0).ravel()
+    log.info("built %s-space preconditioner statistics at p=%d: %d probes in %.3f s",
+             op.space, p, probes, time.perf_counter() - start)
+    return diag, rowsq.reshape(n, n)
 
 
 def jacobi_preconditioner(diag, space: str) -> DiagonalPreconditioner:
@@ -288,6 +375,37 @@ class ConvergenceTrace:
         )
 
 
+class CacheEntryError(ValueError):
+    """A preconditioner cache entry that cannot be used as it stands."""
+
+
+def _read_stats_entry(path: Path, n: int):
+    """(diag, rowsq) from a cache entry, checked like any outside input.
+
+    Raises CacheEntryError unless the file is an npz archive holding both
+    arrays as finite, positive float64 grids of side n.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CacheEntryError(f"not an npz archive ({exc})") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CacheEntryError("not an npz archive")
+    with data:
+        try:
+            stats = (data["diag"], data["rowsq"])
+        except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise CacheEntryError(f"unreadable arrays ({exc})") from exc
+    for name, values in zip(("diag", "rowsq"), stats):
+        if values.shape != (n, n) or values.dtype != np.float64:
+            raise CacheEntryError(
+                f"{name} is {values.dtype} of shape {values.shape}, expected float64 of shape {(n, n)}"
+            )
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise CacheEntryError(f"{name} has non-finite or non-positive values")
+    return stats
+
+
 def _resolve_cache_dir(cache_dir):
     if cache_dir is not None:
         return Path(cache_dir)
@@ -346,23 +464,26 @@ class Reconstructor:
         if key in self._stats_cache:
             return self._stats_cache[key]
         path = self.cache_dir / f"diag-{key[:32]}.npz" if self.cache_dir else None
+        stats = None
         if path is not None and path.exists():
-            with np.load(path) as data:
-                stats = (data["diag"], data["rowsq"])
-            self._stats_cache[key] = stats
-            return stats
-        op = self.system(inv_var, space)
-        stats = operator_diagonal_stats(op.apply, self.n)
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
-            os.close(fd)
             try:
-                np.savez(tmp, diag=stats[0], rowsq=stats[1])
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                stats = _read_stats_entry(path, self.n)
+            except CacheEntryError as exc:
+                log.warning("rebuilding unusable preconditioner cache entry %s: %s", path, exc)
+            else:
+                log.debug("preconditioner cache hit %s", path)
+        if stats is None:
+            stats = operator_diagonal_stats(self.system(inv_var, space))
+            if path is not None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
+                os.close(fd)
+                try:
+                    np.savez(tmp, diag=stats[0], rowsq=stats[1])
+                    os.replace(tmp, path)
+                finally:
+                    if os.path.exists(tmp):
+                        os.unlink(tmp)
         self._stats_cache[key] = stats
         return stats
 

@@ -153,3 +153,26 @@ def dense_sensor_matrix(pupil):
         S[nsub + k, c00] -= 0.5
         S[nsub + k, c01] -= 0.5
     return S
+
+
+def exhaustive_diagonal_stats(apply_fn, n, batch_size=None):
+    """diag(A) and row square-sums of a symmetric operator on n x n grids.
+
+    Applies A to every basis vector (in batches): the i-th application
+    yields A e_i, whose i-th entry is the diagonal and whose squared norm
+    is the i-th row square-sum.  O(N^2) work; the reference for the
+    colored probe.
+    """
+    size = n * n
+    if batch_size is None:
+        batch_size = max(1, min(512, (1 << 23) // size))
+    diag = np.empty(size)
+    rowsq = np.empty(size)
+    for start in range(0, size, batch_size):
+        idx = np.arange(start, min(start + batch_size, size))
+        basis = np.zeros((idx.size, size))
+        basis[np.arange(idx.size), idx] = 1.0
+        out = apply_fn(basis.reshape(idx.size, n, n)).reshape(idx.size, size)
+        diag[idx] = out[np.arange(idx.size), idx]
+        rowsq[idx] = np.einsum("ij,ij->i", out, out)
+    return diag.reshape(n, n), rowsq.reshape(n, n)

@@ -279,8 +279,8 @@ def test_criterion_7_flop_model():
             w_true = draw_screen(op, trial_generator(77, p))
             slopes = simulate_measurements(w_true, pup, 1.0, trial_generator(78, p))
             A = NormalOperator(op, sh, 1.0 / slopes.var, "u")
-            # unit diagonal: flop-identical to the tuned one without the
-            # O(N^2) probe run, which criterion 5 already pays for
+            # unit diagonal: flop-identical to the tuned one without its
+            # one-time build, which criterion 5 already pays for
             pre = DiagonalPreconditioner(np.ones((n, n)), kind="optimal", space="u")
 
             counter = FlopCounter()

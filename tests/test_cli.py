@@ -94,6 +94,22 @@ def test_reconstruct_recovers_wavefront(pipeline):
     assert len(lines) >= 4
 
 
+def test_reconstruct_rebuilds_corrupt_cache_entry(pipeline, monkeypatch):
+    tmp_path, _, slopes = pipeline
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("FRACWAVE_CACHE", str(cache))
+    out = tmp_path / "estimate.bin"
+    argv = ["reconstruct", str(slopes), "--method", "u-pcg-jac", "--out", str(out)]
+    assert main(argv) == 0
+    (entry,) = cache.iterdir()
+    good = entry.read_bytes()
+    first = read_grid(out)
+    entry.write_bytes(b"this is not a zip archive\n")
+    assert main(argv) == 0
+    np.testing.assert_array_equal(read_grid(out), first)
+    assert entry.read_bytes()[:2] == good[:2] == b"PK"
+
+
 def test_reconstruct_infers_grid_from_slope_comment(pipeline):
     tmp_path, _, slopes = pipeline
     out = tmp_path / "estimate.bin"

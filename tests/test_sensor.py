@@ -125,6 +125,14 @@ def test_adjoint_support_stays_inside_pupil():
     assert np.all(g[~pup.sample_mask] == 0.0)
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+def test_edge_count_matches_set_of_edges(p):
+    pup = make_pupil((1 << p) + 1)
+    sx, sy = pup.subap_x.tolist(), pup.subap_y.tolist()
+    edges = set(zip(sx, sy)) | {(x + 1, y) for x, y in zip(sx, sy)}
+    assert ShackHartmann(pup).n_edges == len(edges)
+
+
 def test_flop_charge_uses_shared_edges():
     for n in (9, 33):
         pup = make_pupil(n)

@@ -1,5 +1,6 @@
 """Normal equations, PCG, preconditioners, and the reconstruction front end."""
 
+import logging
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from fracwave.solver import (
 )
 from fracwave.turbulence import kolmogorov
 
-from oracles import dense_grid_operator, dense_sensor_matrix
+from oracles import dense_grid_operator, dense_sensor_matrix, exhaustive_diagonal_stats
 
 P = 3
 N_SIDE = (1 << P) + 1
@@ -102,9 +103,57 @@ def test_diagonal_stats_match_dense(batch_size):
     m = rng.normal(size=(36, 36))
     m = m + m.T
     apply_fn = lambda x: (x.reshape(-1, 36) @ m).reshape(x.shape)
-    diag, rowsq = operator_diagonal_stats(apply_fn, 6, batch_size=batch_size)
+    diag, rowsq = exhaustive_diagonal_stats(apply_fn, 6, batch_size=batch_size)
     np.testing.assert_allclose(diag.ravel(), np.diag(m), rtol=1e-13)
     np.testing.assert_allclose(rowsq.ravel(), (m * m).sum(axis=1), rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "p, space, batch_size",
+    [(p, space, None) for p in (2, 3, 4, 5) for space in ("u", "w")]
+    + [(4, "u", 7), (6, "u", None)],
+)
+def test_colored_probe_matches_exhaustive(p, space, batch_size):
+    rec = Reconstructor(p, cache_dir=None)
+    rng = np.random.default_rng(p)
+    inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
+    inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
+    A = rec.system(inv_var, space)
+    diag, rowsq = operator_diagonal_stats(A, batch_size=batch_size)
+    ref_diag, ref_rowsq = exhaustive_diagonal_stats(A.apply, A.n)
+    np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rowsq, ref_rowsq, rtol=1e-12, atol=0)
+
+
+class GridCounter:
+    """Stand-in operator that counts the grids it is applied to."""
+
+    def __init__(self, p, space, fill=0.0):
+        self.n = (1 << p) + 1
+        self.space = space
+        self.fill = fill
+        self.grids = 0
+
+    def apply(self, x):
+        self.grids += x.shape[0]
+        return np.full_like(x, self.fill)
+
+
+@pytest.mark.parametrize("space, stride", [("u", 9), ("w", 5)])
+def test_colored_probe_count_grows_by_a_constant_per_pass(space, stride):
+    counts = []
+    for p in range(4, 9):
+        op = GridCounter(p, space)
+        operator_diagonal_stats(op)
+        counts.append(op.grids)
+    assert np.diff(counts).tolist() == [stride * stride] * 4
+    assert counts[-1] <= 600
+
+
+def test_colored_probe_rejects_coupling_beyond_its_stride():
+    # A dense operator reaches rows no column of the probe owns.
+    with pytest.raises(RuntimeError, match="stride"):
+        operator_diagonal_stats(GridCounter(3, "u", fill=1.0))
 
 
 def test_preconditioner_formulas():
@@ -334,3 +383,67 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     assert str(rec.cache_dir) == str(tmp_path / "from-env")
     rec = Reconstructor(P, cache_dir=tmp_path / "explicit")
     assert str(rec.cache_dir) == str(tmp_path / "explicit")
+
+
+def test_cache_events_are_logged(system, tmp_path, caplog):
+    inv_var = 1.0 / system[5].var
+    with caplog.at_level(logging.DEBUG, logger="fracwave"):
+        Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
+        (build,) = caplog.records
+        assert build.levelno == logging.INFO
+        assert "u-space" in build.getMessage() and f"p={P}" in build.getMessage()
+        assert "81 probes" in build.getMessage()
+        caplog.clear()
+        Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
+        (hit,) = caplog.records
+        assert hit.levelno == logging.DEBUG and "cache hit" in hit.getMessage()
+
+
+def _spoil(path, kind, diag, rowsq):
+    if kind == "not-zip":
+        path.write_bytes(b"this is not a zip archive\n")
+    elif kind == "truncated-zip":
+        path.write_bytes(path.read_bytes()[:200])
+    elif kind == "plain-npy":
+        with open(path, "wb") as fh:
+            np.save(fh, diag)
+    elif kind == "missing-array":
+        np.savez(path, diag=diag)
+    elif kind == "wrong-shape":
+        np.savez(path, diag=diag[:-1], rowsq=rowsq[:-1])
+    elif kind == "wrong-dtype":
+        np.savez(path, diag=diag.astype(np.float32), rowsq=rowsq)
+    elif kind == "non-finite":
+        bad = rowsq.copy()
+        bad[2, 3] = np.nan
+        np.savez(path, diag=diag, rowsq=bad)
+    elif kind == "non-positive":
+        bad = diag.copy()
+        bad[1, 1] = -1.0
+        np.savez(path, diag=bad, rowsq=rowsq)
+    else:
+        raise AssertionError(kind)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["not-zip", "truncated-zip", "plain-npy", "missing-array", "wrong-shape",
+     "wrong-dtype", "non-finite", "non-positive"],
+)
+def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
+    _, _, _, _, _, slopes = system
+    config = SolverConfig("u-pcg-opt", max_iter=6, tol=1e-12)
+    w_ref, _ = Reconstructor(P, cache_dir=tmp_path).reconstruct(slopes, config)
+    (entry,) = tmp_path.iterdir()
+    with np.load(entry) as data:
+        diag, rowsq = data["diag"], data["rowsq"]
+    _spoil(entry, kind, diag, rowsq)
+    with caplog.at_level(logging.WARNING, logger="fracwave"):
+        w_hat, _ = Reconstructor(P, cache_dir=tmp_path).reconstruct(slopes, config)
+    np.testing.assert_array_equal(w_hat, w_ref)
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING and entry.name in warning.getMessage()
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    with np.load(entry) as data:
+        np.testing.assert_array_equal(data["diag"], diag)
+        np.testing.assert_array_equal(data["rowsq"], rowsq)
