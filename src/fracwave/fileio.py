@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .sensor import SlopeSet
 GRID_MAGIC = b"FRIM"
 GRID_VERSION = 1
 _HEADER = struct.Struct("<4sII")
+SLOPE_COLUMNS = ["isub", "ix", "iy", "dx", "dy", "var"]
 
 
 def write_grid(path, values):
@@ -82,7 +84,7 @@ def _open_csv(path, meta):
 def write_slopes_csv(path, slopes: SlopeSet, meta: dict):
     fh, writer = _open_csv(path, meta)
     with fh:
-        writer.writerow(["isub", "ix", "iy", "dx", "dy", "var"])
+        writer.writerow(SLOPE_COLUMNS)
         for i in range(slopes.nsub):
             writer.writerow(
                 [i, int(slopes.subap_x[i]), int(slopes.subap_y[i]),
@@ -91,33 +93,35 @@ def write_slopes_csv(path, slopes: SlopeSet, meta: dict):
 
 
 def read_slopes_csv(path) -> tuple[SlopeSet, dict]:
+    """Slopes and comment metadata of a slope file, checked as untrusted input.
+
+    The comment line is optional.  Every malformed file raises ValueError
+    naming the path.
+    """
     meta: dict = {}
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                meta = parse_comment(",".join(row))
-                continue
-            if header is None:
-                header = row
-                if header != ["isub", "ix", "iy", "dx", "dy", "var"]:
-                    raise ValueError(f"{path}: unexpected slope columns {header}")
-                continue
-            rows.append(row)
-    if header is None:
-        raise ValueError(f"{path}: missing slope header row")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed slope row: {exc}") from exc
+    with open(path) as fh:
+        line = fh.readline()
+        if line.startswith("#"):
+            meta = parse_comment(line)
+            line = fh.readline()
+        if not line.strip():
+            raise ValueError(f"{path}: missing slope header row")
+        header = line.strip().split(",")
+        if header != SLOPE_COLUMNS:
+            raise ValueError(f"{path}: unexpected slope columns {header}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body warns
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed slope row: {exc}") from exc
     if data.size == 0:
-        data = data.reshape(0, 6)
+        raise ValueError(f"{path}: no slope rows")
     if data.shape[1] != 6:
         raise ValueError(f"{path}: expected 6 columns, got {data.shape[1]}")
+    index = data[:, 1:3]
+    if not np.all(np.isfinite(index) & (index == np.trunc(index))):
+        raise ValueError(f"{path}: subaperture indices ix, iy must be integers")
     slopes = SlopeSet(
         subap_x=data[:, 1].astype(int),
         subap_y=data[:, 2].astype(int),

@@ -22,6 +22,12 @@ from .solver import VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
 
 
+# Bytes of one (chunk, n, n) float64 grid stack in run_simulation; a
+# stacked PCG solve holds about a dozen such stacks.  That puts all
+# trials of a p=6 run up to 496 in one chunk, and 31 at p=8.
+CHUNK_BYTES = 16 << 20
+
+
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
     """Independent stream for one trial, keyed by (seed, trial)."""
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
@@ -94,8 +100,11 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None, progress=None) -> Simul
     """Monte-Carlo reconstruction study over independent trials.
 
     Every variant of a trial consumes the identical slope set; the
-    returned digests certify that.  Traces that stop early are padded
+    returned digests certify that.  Each variant solves a chunk of trials
+    in one stacked PCG call (``CHUNK_BYTES`` per grid stack) whose traces
+    equal those of one solve per trial.  Traces that stop early are padded
     with their final row so medians stay elementwise comparable.
+    ``progress(done, total)`` is called once per trial, in trial order.
     """
     recon = Reconstructor(spec.p, spec.r0, cache_dir=cache_dir)
     nsub = recon.pupil.nsub
@@ -112,22 +121,31 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None, progress=None) -> Simul
     var_norm = {m: np.zeros((spec.trials, rows)) for m in spec.methods}
     digests: dict[str, list[str]] = {m: [] for m in spec.methods}
 
-    for t in range(spec.trials):
-        rng = trial_generator(spec.seed, t)
-        w_true = draw_screen(recon.fractal, rng)
-        slopes = simulate_measurements(w_true, recon.pupil, spec.noise_std, rng)
-        digest = hashlib.sha256(
-            slopes.sx.tobytes() + slopes.sy.tobytes() + slopes.var.tobytes()
-        ).hexdigest()
+    chunk = max(1, CHUNK_BYTES // (8 * recon.n * recon.n))
+    for first in range(0, spec.trials, chunk):
+        trials = range(first, min(first + chunk, spec.trials))
+        truths, slope_sets = [], []
+        for t in trials:
+            rng = trial_generator(spec.seed, t)
+            w_true = draw_screen(recon.fractal, rng)
+            slopes = simulate_measurements(w_true, recon.pupil, spec.noise_std, rng)
+            truths.append(w_true)
+            slope_sets.append(slopes)
+            digest = hashlib.sha256(
+                slopes.sx.tobytes() + slopes.sy.tobytes() + slopes.var.tobytes()
+            ).hexdigest()
+            for method in spec.methods:
+                digests[method].append(digest)
         for method in spec.methods:
             config = SolverConfig(method, spec.max_iter, spec.tol)
-            _, trace = recon.reconstruct(slopes, config, truth=w_true)
-            flops[method][t] = _padded(trace.flops, rows)
-            var[method][t] = _padded(trace.resid_var, rows)
-            var_norm[method][t] = _padded(trace.resid_var_norm, rows)
-            digests[method].append(digest)
+            _, traces = recon.reconstruct(slope_sets, config, truth=np.stack(truths))
+            for t, trace in zip(trials, traces):
+                flops[method][t] = _padded(trace.flops, rows)
+                var[method][t] = _padded(trace.resid_var, rows)
+                var_norm[method][t] = _padded(trace.resid_var_norm, rows)
         if progress is not None:
-            progress(t + 1, spec.trials)
+            for t in trials:
+                progress(t + 1, spec.trials)
 
     return SimulationResult(
         spec=spec, iteration_flops=flops, resid_var=var,

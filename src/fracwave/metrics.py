@@ -8,8 +8,6 @@ roots and other scalar bookkeeping are not counted.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
@@ -74,19 +72,27 @@ def flop_report(counter: FlopCounter, n_samples: int, iterations: int,
     }
 
 
-def residual_stats(w_hat, w_true, pupil) -> tuple[float, float]:
-    """Piston-removed RMS and variance of w_hat - w_true over the pupil."""
-    e = (np.asarray(w_hat, dtype=float) - w_true)[pupil.sample_mask]
-    e = e - e.mean()
-    var = float(np.mean(e * e))
-    return math.sqrt(var), var
+def residual_stats(w_hat, w_true, pupil):
+    """Piston-removed RMS and variance of w_hat - w_true over the pupil.
+
+    Leading axes of the (..., n, n) arguments index separate residuals;
+    both statistics come back with those axes.
+    """
+    d = np.asarray(w_hat, dtype=float) - w_true
+    # Contiguous rows, so each residual sums in the order of a lone one.
+    e = d.reshape(d.shape[:-2] + (-1,)).take(np.flatnonzero(pupil.sample_mask), axis=-1)
+    count = e.shape[-1]
+    e -= np.add.reduce(e, axis=-1, keepdims=True) / count
+    var = np.add.reduce(e * e, axis=-1) / count
+    return np.sqrt(var), var
 
 
-def strehl_ratio(variance: float) -> float:
-    """Marechal estimate exp(-variance) for a residual phase variance."""
-    if variance < 0 or not math.isfinite(variance):
+def strehl_ratio(variance):
+    """Marechal estimate exp(-variance) for residual phase variances."""
+    variance = np.asarray(variance, dtype=float)
+    if not ((variance >= 0.0) & (variance < np.inf)).all():
         raise ValueError(f"variance must be finite and nonnegative, got {variance}")
-    return math.exp(-variance)
+    return np.exp(-variance)
 
 
 def empirical_structure_function(screens) -> np.ndarray:

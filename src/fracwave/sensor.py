@@ -116,6 +116,7 @@ class ShackHartmann:
         self._ie = sy * n + sx + 1
         self._in = (sy + 1) * n + sx
         self._ine = (sy + 1) * n + sx + 1
+        self._cell = sy * (n - 1) + sx  # flat index on the (n - 1)-side cell grid
         # Each subaperture has a left and a right vertical edge; a
         # horizontally adjacent pair shares one.
         occupied = np.zeros(n * n, dtype=bool)
@@ -132,10 +133,10 @@ class ShackHartmann:
     def forward(self, w, counter=None):
         """Slopes (dx, dy) of shape (..., nsub) for wavefront (..., n, n)."""
         W = self._flat(np.asarray(w, dtype=float))
-        w00 = W[..., self._i00]
-        we = W[..., self._ie]
-        wn = W[..., self._in]
-        wne = W[..., self._ine]
+        w00 = W.take(self._i00, axis=-1)
+        we = W.take(self._ie, axis=-1)
+        wn = W.take(self._in, axis=-1)
+        wne = W.take(self._ine, axis=-1)
         dx = 0.5 * (wne + we - wn - w00)
         dy = 0.5 * (wne - we + wn - w00)
         if counter is not None:
@@ -148,19 +149,26 @@ class ShackHartmann:
         dx = np.asarray(dx, dtype=float)
         dy = np.asarray(dy, dtype=float)
         n = self.pupil.n
-        out = np.zeros(dx.shape[:-1] + (n * n,))
+        lead = dx.shape[:-1]
         hx = 0.5 * dx
         hy = 0.5 * dy
-        # Within each corner class the subaperture corners are distinct,
-        # so buffered fancy-index updates are safe.
-        out[..., self._ine] += hx + hy
-        out[..., self._ie] += hx - hy
-        out[..., self._in] += hy - hx
-        out[..., self._i00] -= hx + hy
+        # Half-sums and half-differences on the cell grid, then one slice
+        # update per corner, in the order ne, e, n, origin.
+        cells = np.zeros(lead + (2, (n - 1) * (n - 1)))
+        cells[..., 0, self._cell] = hx + hy
+        cells[..., 1, self._cell] = hx - hy
+        cells = cells.reshape(lead + (2, n - 1, n - 1))
+        total = cells[..., 0, :, :]
+        diff = cells[..., 1, :, :]
+        out = np.zeros(lead + (n, n))
+        out[..., 1:, 1:] += total
+        out[..., :-1, 1:] += diff
+        out[..., 1:, :-1] -= diff
+        out[..., :-1, :-1] -= total
         if counter is not None:
             batch = out.size // (n * n) if out.size else 1
             counter.add("sensor", batch * self._flops)
-        return out.reshape(dx.shape[:-1] + (n, n))
+        return out
 
 
 def simulate_measurements(w_true, pupil: Pupil, noise_std: float, rng) -> SlopeSet:

@@ -133,10 +133,15 @@ class NormalOperator:
             counter.add("vector", x.size)
         return out
 
-    def rhs(self, slopes: SlopeSet, counter=None) -> np.ndarray:
-        """Right-hand side b for measured slopes."""
-        dx = slopes.sx * self.inv_var
-        dy = slopes.sy * self.inv_var
+    def rhs(self, slopes, counter=None) -> np.ndarray:
+        """Right-hand side b for one SlopeSet, or a stack for a sequence of them."""
+        if isinstance(slopes, SlopeSet):
+            sx, sy = slopes.sx, slopes.sy
+        else:
+            sx = np.array([item.sx for item in slopes])
+            sy = np.array([item.sy for item in slopes])
+        dx = sx * self.inv_var
+        dy = sy * self.inv_var
         if counter is not None:
             counter.add("noise", dx.size + dy.size)
         b = self.sensor.adjoint(dx, dy, counter)
@@ -280,13 +285,25 @@ def optimal_diagonal_preconditioner(diag, rowsq, space: str) -> DiagonalPrecondi
 
 def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
               preconditioner: DiagonalPreconditioner | None = None,
-              counter: FlopCounter | None = None, monitor=None):
+              counter: FlopCounter | None = None, monitor=None, batch_axes: int = 0):
     """Preconditioned conjugate gradients for an SPD matrix-free operator.
 
-    Stops when ||r|| <= tol * ||b|| or after max_iter iterations.
+    The first ``batch_axes`` axes of ``b`` index independent systems
+    (columns); the default 0 solves one system over the whole array.
+    Each column runs its own CG recurrence, not block CG: a column stops
+    when ||r|| <= tol * ||b|| or when r . z is exactly zero, and its x and
+    r then stay frozen while the others go on, so it follows exactly the
+    iterates of a solve on its own.  Every column is charged for every
+    operation, frozen ones included.
+
     ``monitor(k, x, rnorm)`` is called after initialisation (k = 0) and
-    after every iteration.  Returns (x, converged, iterations).  A
-    nonpositive curvature p . A p aborts with IndefiniteOperatorError.
+    after every iteration; with batch axes it is called as
+    ``monitor(k, x, rnorm, stepped)``, ``rnorm`` and the boolean mask
+    ``stepped`` (the columns that took iteration k, all at k = 0) having
+    the batch shape.  Returns (x, converged, iterations): ``converged``
+    per column, ``iterations`` the number run, the longest column's.  A
+    nonpositive curvature p . A p in a running column aborts with
+    IndefiniteOperatorError.
     """
 
     def add(family, count):
@@ -294,59 +311,80 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
             counter.add(family, count)
 
     b = np.asarray(b, dtype=float)
+    batch = b.shape[:batch_axes]
+    columns = math.prod(batch)
     size = b.size
+    dot_flops = 2 * size - columns  # 2N - 1 per column
+    expand = batch + (1,) * (b.ndim - batch_axes)
+
+    def dot(u, v):
+        return np.vecdot(u.reshape(batch + (-1,)), v.reshape(batch + (-1,)))
+
+    def report(k, stepped):
+        if monitor is None:
+            return
+        if batch_axes:
+            monitor(k, x, rnorm, stepped)
+        else:
+            monitor(k, x, rnorm)
+
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
-        bnorm = float(np.sqrt(np.vdot(b, b)))
-        add("vector", 2 * size - 1)
+        bnorm = np.sqrt(dot(b, b))
+        add("vector", dot_flops)
         rnorm = bnorm
     else:
         x = np.array(x0, dtype=float)
         r = b - apply_a(x, counter)
         add("vector", size)
-        bnorm = float(np.sqrt(np.vdot(b, b)))
-        add("vector", 2 * size - 1)
-        rnorm = float(np.sqrt(np.vdot(r, r)))
-        add("vector", 2 * size - 1)
-    if monitor is not None:
-        monitor(0, x, rnorm)
-    converged = rnorm <= tol * bnorm
+        bnorm = np.sqrt(dot(b, b))
+        add("vector", dot_flops)
+        rnorm = np.sqrt(dot(r, r))
+        add("vector", dot_flops)
+    live = ~(rnorm <= tol * bnorm)
+    report(0, np.ones(batch, dtype=bool))
     iterations = 0
-    rho_prev = 0.0
+    rho_prev = None
     p = None
-    while not converged and iterations < max_iter:
+    # count_nonzero: a third of the call overhead of .any() on small masks
+    while iterations < max_iter and np.count_nonzero(live):
         z = r if preconditioner is None else preconditioner.apply(r, counter)
-        rho = float(np.vdot(r, z))
-        add("vector", 2 * size - 1)
-        if rho == 0.0:
-            converged = True
+        rho = dot(r, z)
+        add("vector", dot_flops)
+        live = live & (rho != 0.0)
+        if not np.count_nonzero(live):
             break
         if p is None:
             p = z.copy()
         else:
-            p = z + (rho / rho_prev) * p
+            # Stopped columns restart from z, so p stays finite there.
+            beta = np.divide(rho, rho_prev, out=np.zeros(batch), where=live)
+            p = z + beta.reshape(expand) * p
             add("vector", 2 * size)
         q = apply_a(p, counter)
-        curvature = float(np.vdot(p, q))
-        add("vector", 2 * size - 1)
-        if curvature <= 0.0:
+        curvature = dot(p, q)
+        add("vector", dot_flops)
+        indefinite = live & (curvature <= 0.0)
+        if np.count_nonzero(indefinite):
             raise IndefiniteOperatorError(
-                f"nonpositive curvature p.Ap = {curvature} at iteration {iterations + 1}"
+                f"nonpositive curvature p.Ap = {np.extract(indefinite, curvature)[0]} "
+                f"at iteration {iterations + 1}"
             )
-        alpha = rho / curvature
+        alpha = np.divide(rho, curvature, out=np.zeros(batch), where=live).reshape(expand)
         x += alpha * p
         add("vector", 2 * size)
         r -= alpha * q
         add("vector", 2 * size)
         rho_prev = rho
         iterations += 1
-        rnorm = float(np.sqrt(np.vdot(r, r)))
-        add("vector", 2 * size - 1)
-        converged = rnorm <= tol * bnorm
-        if monitor is not None:
-            monitor(iterations, x, rnorm)
-    return x, converged, iterations
+        rnorm = np.sqrt(dot(r, r))
+        add("vector", dot_flops)
+        stepped = live
+        live = stepped & ~(rnorm <= tol * bnorm)
+        report(iterations, stepped)
+    converged = ~live
+    return x, (converged if batch_axes else bool(converged)), iterations
 
 
 @dataclasses.dataclass
@@ -495,63 +533,101 @@ class Reconstructor:
             return optimal_diagonal_preconditioner(diag, rowsq, space)
         raise ValueError(f"unknown preconditioner kind {kind!r}")
 
-    def reconstruct(self, slopes: SlopeSet, config: SolverConfig, truth=None,
+    def reconstruct(self, slopes, config: SolverConfig, truth=None,
                     counter: FlopCounter | None = None):
         """Estimate the wavefront from slopes; returns (w_hat, trace).
+
+        ``slopes`` is one SlopeSet, or a sequence of slope sets that share
+        their noise variances; a sequence returns a (B, n, n) stack of
+        estimates and one trace per slope set, and takes ``truth`` as a
+        matching stack.  All of them go through one PCG call, each slope
+        set along its own recurrence (see ``pcg_solve``), so each trace is
+        the one a solve on its own would record.
 
         The estimate keeps its piston component; piston-blind comparison
         is the metrics' job.  With ``truth`` given, the trace records
         piston-removed residual variance (absolute and normalised by the
-        iteration-0 value) and the Strehl estimate per iteration.
+        iteration-0 value) and the Strehl estimate per iteration.  Flops
+        are the counter's growth divided by the stack size: every charged
+        operation runs on every slope set, so this is exact, and a slope
+        set that converged early is charged for the iterations it sat out
+        in ``total_flops`` only.
         """
-        self.check_slopes(slopes)
+        single = isinstance(slopes, SlopeSet)
+        stack = [slopes] if single else list(slopes)
+        if not stack:
+            raise ValueError("need at least one slope set")
+        for item in stack:
+            self.check_slopes(item)
+        if any(not np.array_equal(item.var, stack[0].var) for item in stack[1:]):
+            raise ValueError("slope sets solved together must share their noise variances")
+        columns = len(stack)
+        if truth is not None:
+            truth = np.asarray(truth, dtype=float)
+            if single:
+                truth = truth[None]
+            if truth.shape != (columns, self.n, self.n):
+                raise ValueError(f"need one {self.n} x {self.n} truth per slope set, "
+                                 f"got shape {truth.shape}")
         if counter is None:
             counter = FlopCounter()
+        start = counter.total
         space = config.space
-        inv_var = 1.0 / slopes.var
+        inv_var = 1.0 / stack[0].var
         op = self.system(inv_var, space)
         precond = None
         if config.preconditioner is not None:
             precond = self.preconditioner(inv_var, space, config.preconditioner)
-        b = op.rhs(slopes, counter)
+        b = op.rhs(stack, counter)
 
-        trace = ConvergenceTrace(
-            method=config.method, iterations=[], flops=[], rnorm=[],
-            resid_var=[], resid_var_norm=[], strehl=[],
-        )
+        traces = [
+            ConvergenceTrace(method=config.method, iterations=[], flops=[], rnorm=[],
+                             resid_var=[], resid_var_norm=[], strehl=[])
+            for _ in stack
+        ]
         base_var = None
 
-        def monitor(k, x, rnorm):
+        def column_flops():
+            return start + (counter.total - start) // columns
+
+        def monitor(k, x, rnorm, stepped):
             nonlocal base_var
-            trace.iterations.append(k)
-            trace.flops.append(counter.total)
-            trace.rnorm.append(rnorm)
-            if truth is None:
-                trace.resid_var.append(math.nan)
-                trace.resid_var_norm.append(math.nan)
-                trace.strehl.append(math.nan)
-                return
-            if space == "w":
-                w_k = x
-            else:
-                w_k = x.copy()
-                self.fractal.apply(w_k)  # diagnostic, not charged
-            _, var = residual_stats(w_k, truth, self.pupil)
-            if base_var is None:
-                base_var = var
-            trace.resid_var.append(var)
-            trace.resid_var_norm.append(var / base_var if base_var > 0 else math.nan)
-            trace.strehl.append(strehl_ratio(var))
+            (cols,) = np.nonzero(stepped)
+            flops = column_flops()
+            var = norm = strehl = np.full(cols.size, math.nan)
+            if truth is not None:
+                w_k = x[cols]
+                if space == "u":
+                    self.fractal.apply(w_k)  # diagnostic, not charged
+                _, var = residual_stats(w_k, truth[cols], self.pupil)
+                if base_var is None:
+                    base_var = var
+                base = base_var[cols]
+                norm = np.divide(var, base, out=np.full(cols.size, math.nan), where=base > 0)
+                strehl = strehl_ratio(var)
+            rows = zip(cols.tolist(), rnorm[cols].tolist(), var.tolist(), norm.tolist(),
+                       strehl.tolist())
+            for col, rnorm_k, var_k, norm_k, strehl_k in rows:
+                trace = traces[col]
+                trace.iterations.append(k)
+                trace.flops.append(flops)
+                trace.rnorm.append(rnorm_k)
+                trace.resid_var.append(var_k)
+                trace.resid_var_norm.append(norm_k)
+                trace.strehl.append(strehl_k)
 
         x, converged, _ = pcg_solve(
             op.apply, b, tol=config.tol, max_iter=config.max_iter,
-            preconditioner=precond, counter=counter, monitor=monitor,
+            preconditioner=precond, counter=counter, monitor=monitor, batch_axes=1,
         )
         if space == "u":
             w_hat = x.copy()
             self.fractal.apply(w_hat, counter)
         else:
             w_hat = x
-        trace.converged = converged
-        trace.total_flops = counter.total
-        return w_hat, trace
+        for trace, done in zip(traces, converged):
+            trace.converged = bool(done)
+            trace.total_flops = column_flops()
+        if single:
+            return w_hat[0], traces[0]
+        return w_hat, traces

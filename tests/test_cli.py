@@ -188,6 +188,19 @@ def test_validation_failures_exit_2(tmp_path):
     )
 
 
+def test_malformed_slope_file_exits_2(pipeline, capsys):
+    tmp_path, _, slopes = pipeline
+    lines = slopes.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[4] = "not-a-number"
+    bad = tmp_path / "bad-slopes.csv"
+    bad.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+    out = tmp_path / "never.bin"
+    assert main(["reconstruct", str(bad), "--out", str(out)]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mismatched_grid_flag_exits_2(pipeline):
     tmp_path, _, slopes = pipeline
     rc = main(

@@ -1,8 +1,11 @@
 """Trial seeding, screen draws, and the Monte-Carlo simulation driver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from fracwave import harness
 from fracwave.fractal import FractalOperator
 from fracwave.harness import (
     ExperimentSpec,
@@ -13,6 +16,8 @@ from fracwave.harness import (
     trial_generator,
 )
 from fracwave.metrics import FlopCounter, radial_profile
+from fracwave.sensor import simulate_measurements
+from fracwave.solver import Reconstructor, SolverConfig
 from fracwave.turbulence import kolmogorov
 
 
@@ -111,6 +116,62 @@ def test_simulation_median_helpers(small_sim):
         res.median_normalized(m), np.median(res.resid_var_norm[m], axis=0)
     )
     np.testing.assert_array_equal(res.median_flops(m), np.median(res.iteration_flops[m], axis=0))
+
+
+def solve_trials_alone(spec, cache_dir):
+    """Per-trial traces and digests from one reconstruct call per trial."""
+    recon = Reconstructor(spec.p, spec.r0, cache_dir=cache_dir)
+    traces = {m: [] for m in spec.methods}
+    digests = []
+    for t in range(spec.trials):
+        rng = trial_generator(spec.seed, t)
+        w_true = draw_screen(recon.fractal, rng)
+        slopes = simulate_measurements(w_true, recon.pupil, spec.noise_std, rng)
+        digests.append(hashlib.sha256(
+            slopes.sx.tobytes() + slopes.sy.tobytes() + slopes.var.tobytes()).hexdigest())
+        for m in spec.methods:
+            config = SolverConfig(m, spec.max_iter, spec.tol)
+            traces[m].append(recon.reconstruct(slopes, config, truth=w_true)[1])
+    return traces, digests
+
+
+@pytest.mark.parametrize("p, methods, tol, seed, chunk", [
+    # every trial runs all iterations; chunks of 2, 2 and 1
+    (4, ("u-pcg-opt", "w-cg"), 1e-30, 2, 2),
+    # trials 0-2 share a chunk and stop after 1, 1 and 2 u-cg iterations
+    (3, ("u-cg", "w-pcg-jac"), 0.5, 5, 3),
+])
+def test_chunked_trials_match_one_solve_per_trial(tmp_path, monkeypatch, p, methods, tol,
+                                                  seed, chunk):
+    n = (1 << p) + 1
+    monkeypatch.setattr(harness, "CHUNK_BYTES", chunk * 8 * n * n)
+    spec = ExperimentSpec(p=p, methods=methods, max_iter=8, tol=tol, trials=5, seed=seed)
+    seen = []
+    res = run_simulation(spec, cache_dir=tmp_path, progress=lambda done, total: seen.append(
+        (done, total)))
+    assert seen == [(t + 1, spec.trials) for t in range(spec.trials)]
+    alone, digests = solve_trials_alone(spec, tmp_path)
+    rows = spec.max_iter + 1
+    for m in methods:
+        assert res.input_digests[m] == digests
+        for t, trace in enumerate(alone[m]):
+            flops = np.array(harness._padded(trace.flops, rows))
+            assert np.array_equal(res.iteration_flops[m][t].astype(np.int64), flops)
+            np.testing.assert_allclose(res.resid_var[m][t], harness._padded(trace.resid_var, rows),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(res.resid_var_norm[m][t],
+                                       harness._padded(trace.resid_var_norm, rows),
+                                       rtol=1e-12, atol=0)
+    if tol == 0.5:
+        assert [alone["u-cg"][t].iterations[-1] for t in range(chunk)] == [1, 1, 2]
+
+
+def test_default_chunk_holds_every_trial_at_p6_and_tens_at_p8():
+    def chunk(p):
+        return harness.CHUNK_BYTES // (8 * ((1 << p) + 1) ** 2)
+
+    assert chunk(6) >= 100
+    assert 10 <= chunk(8) < 100
 
 
 def test_experiment_spec_validation():

@@ -74,6 +74,58 @@ def test_slopes_round_trip(tmp_path, grid):
     assert path.read_text().splitlines()[1] == "isub,ix,iy,dx,dy,var"
 
 
+def _slope_file(tmp_path, grid, edit=None):
+    """A valid p=3 slope file, its lines passed through ``edit`` first."""
+    pup = make_pupil(9)
+    slopes = simulate_measurements(grid, pup, 0.7, np.random.default_rng(1))
+    path = tmp_path / "slopes.csv"
+    write_slopes_csv(path, slopes, {"p": 3, "noise_std": 0.7})
+    if edit is not None:
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+    return path
+
+
+def _set_field(lines, row, column, value):
+    fields = lines[row].split(",")
+    fields[column] = value
+    return lines[:row] + [",".join(fields)] + lines[row + 1:]
+
+
+# Each edit turns a valid file into one read_slopes_csv must refuse.
+BAD_SLOPE_FILES = {
+    "missing-header": lambda lines: lines[:1] + lines[2:],
+    "header-only-comment": lambda lines: lines[:1],
+    "wrong-header": lambda lines: [lines[0], "isub,ix,iy,dx,dy,variance"] + lines[2:],
+    "non-numeric-field": lambda lines: _set_field(lines, 4, 3, "abc"),
+    "short-row": lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:],
+    "long-row": lambda lines: lines[:4] + [lines[4] + ",1.0"] + lines[5:],
+    "short-first-row": lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+    "empty-body": lambda lines: lines[:2],
+    "nan-dx": lambda lines: _set_field(lines, 3, 3, "nan"),
+    "inf-var": lambda lines: _set_field(lines, 3, 5, "inf"),
+    "zero-var": lambda lines: _set_field(lines, 3, 5, "0"),
+    "negative-var": lambda lines: _set_field(lines, 3, 5, "-0.49"),
+    "fractional-ix": lambda lines: _set_field(lines, 3, 1, "3.7"),
+    "fractional-iy": lambda lines: _set_field(lines, 3, 2, "2.5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_SLOPE_FILES))
+def test_slopes_read_rejects_malformed_file(tmp_path, grid, kind):
+    path = _slope_file(tmp_path, grid, BAD_SLOPE_FILES[kind])
+    with pytest.raises(ValueError):
+        read_slopes_csv(path)
+
+
+def test_slopes_read_accepts_integral_float_indices(tmp_path, grid):
+    reference, _ = read_slopes_csv(_slope_file(tmp_path, grid))
+    path = _slope_file(tmp_path, grid, lambda lines: _set_field(lines, 2, 1, "3.0"))
+    loaded, _ = read_slopes_csv(path)
+    assert int(loaded.subap_x[0]) == 3
+    np.testing.assert_array_equal(loaded.subap_x[1:], reference.subap_x[1:])
+
+
 def test_comment_line_parsing():
     assert parse_comment("# fracwave a=1 b=x") == {"a": "1", "b": "x"}
     # anything else is simply data with no metadata attached

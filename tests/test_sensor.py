@@ -104,6 +104,32 @@ def test_forward_matches_dense_matrix():
     np.testing.assert_allclose(np.concatenate([dx, dy]), S @ w.ravel(), atol=1e-13)
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_batched_forward_and_adjoint_match_dense_matrix(p):
+    n = (1 << p) + 1
+    pup = make_pupil(n)
+    sh = ShackHartmann(pup)
+    S = dense_sensor_matrix(pup)
+    rng = np.random.default_rng(p)
+    w = rng.normal(size=(2, 3, n, n))
+    dx, dy = sh.forward(w)
+    assert dx.shape == dy.shape == (2, 3, pup.nsub)
+    expected = w.reshape(6, n * n) @ S.T
+    np.testing.assert_allclose(
+        np.concatenate([dx, dy], axis=-1).reshape(6, -1), expected, rtol=0, atol=1e-13
+    )
+    g = rng.normal(size=(2, 3, 2 * pup.nsub))
+    back = sh.adjoint(g[..., : pup.nsub], g[..., pup.nsub:])
+    assert back.shape == (2, 3, n, n)
+    np.testing.assert_allclose(back.reshape(6, n * n), g.reshape(6, -1) @ S, rtol=0, atol=1e-13)
+    # each grid of the batch equals its own single-grid application
+    for i in range(2):
+        for j in range(3):
+            single = sh.adjoint(g[i, j, : pup.nsub], g[i, j, pup.nsub:])
+            np.testing.assert_array_equal(back[i, j], single)
+            np.testing.assert_array_equal(sh.forward(w[i, j])[0], dx[i, j])
+
+
 def test_adjoint_identity():
     pup = make_pupil(17)
     sh = ShackHartmann(pup)

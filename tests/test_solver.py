@@ -265,6 +265,82 @@ def test_pcg_flop_accounting_exact():
     assert counter.tallies()["precond"] == 3 * size
 
 
+def rowwise(m):
+    """apply_a of m on one vector or on each row of a stack, one matvec per row."""
+    def apply(v, counter=None):
+        return m @ v if v.ndim == 1 else np.stack([m @ row for row in v])
+    return apply
+
+
+def test_pcg_stack_follows_each_column_alone():
+    size = 25
+    m = random_spd(size, seed=9)
+    b = np.random.default_rng(10).normal(size=(4, size))
+    b[2] = 0.0  # done at the start
+    b[3] = np.linalg.eigh(m)[1][:, 0]  # an eigenvector: done after one iteration
+    pre = jacobi_preconditioner(np.ones(size), "w")
+    for preconditioner in (None, pre):
+        rows = [[] for _ in b]
+
+        def monitor(k, x, rnorm, stepped):
+            for j in np.flatnonzero(stepped):
+                rows[j].append((k, float(rnorm[j]), x[j].copy()))
+
+        x, converged, iters = pcg_solve(rowwise(m), b, tol=1e-8, max_iter=60,
+                                        preconditioner=preconditioner, monitor=monitor,
+                                        batch_axes=1)
+        alone_iters = []
+        for j, col in enumerate(b):
+            seen = []
+            xj, cj, ij = pcg_solve(rowwise(m), col, tol=1e-8, max_iter=60,
+                                   preconditioner=preconditioner,
+                                   monitor=lambda k, xk, rn: seen.append((k, float(rn), xk.copy())))
+            np.testing.assert_array_equal(x[j], xj)
+            assert converged[j] == cj
+            assert [(k, rn) for k, rn, _ in rows[j]] == [(k, rn) for k, rn, _ in seen]
+            for (_, _, got), (_, _, want) in zip(rows[j], seen):
+                np.testing.assert_array_equal(got, want)
+            alone_iters.append(ij)
+        assert iters == max(alone_iters)
+        assert alone_iters[2] == 0 and alone_iters[3] == 1 and alone_iters[0] > 1
+        np.testing.assert_array_equal(x[2], 0.0)
+
+
+def test_pcg_stack_raises_only_for_a_running_indefinite_column():
+    signs = np.array([1.0, -1.0])[:, None]
+
+    def apply(v, counter=None):
+        return signs * v
+
+    with pytest.raises(IndefiniteOperatorError, match="curvature"):
+        pcg_solve(apply, np.ones((2, 5)), tol=1e-12, max_iter=10, batch_axes=1)
+    # the negative column has a zero right-hand side, so it never runs
+    b = np.ones((2, 5))
+    b[1] = 0.0
+    x, converged, iters = pcg_solve(apply, b, tol=1e-12, max_iter=10, batch_axes=1)
+    assert converged.tolist() == [True, True] and iters == 1
+    np.testing.assert_array_equal(x, b)
+
+
+def test_pcg_stack_flops_are_per_column_tallies_times_stack_size():
+    # test_pcg_flop_accounting_exact's single-column numbers, times B
+    size, stack = 25, 3
+    m = random_spd(size, seed=7)
+    b = np.random.default_rng(8).normal(size=(stack, size))
+    single = (2 * size - 1) + (10 * size - 3) + 2 * (12 * size - 3)
+
+    counter = FlopCounter()
+    pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter, batch_axes=1)
+    assert counter.tallies() == {"vector": stack * single}
+
+    counter = FlopCounter()
+    pre = DiagonalPreconditioner(np.ones(size), kind="jacobi", space="w")
+    pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter, preconditioner=pre,
+              batch_axes=1)
+    assert counter.total == stack * (single + 3 * size)
+    assert counter.tallies()["precond"] == stack * 3 * size
+
+
 # -- reconstruction front end ------------------------------------------------
 
 
@@ -320,6 +396,40 @@ def test_trace_bookkeeping(system, tmp_path):
     rows = trace.rows()
     assert len(rows) == k + 1
     assert rows[0][0] == 0 and len(rows[0]) == 6
+
+
+def test_reconstruct_stack_equals_single_solves(system, tmp_path):
+    _, op, pup, _, w_true, slopes = system
+    truths = np.stack([w_true, 0.5 * w_true, -w_true])
+    rng = np.random.default_rng(17)
+    stack = [simulate_measurements(w, pup, 1.0, rng) for w in truths]
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    for method in ("u-pcg-opt", "w-cg"):
+        cfg = SolverConfig(method, max_iter=6, tol=1e-30)
+        counter = FlopCounter()
+        w_hats, traces = rec.reconstruct(stack, cfg, truth=truths, counter=counter)
+        assert w_hats.shape == (3, N_SIDE, N_SIDE) and len(traces) == 3
+        for item, truth, w_hat, trace in zip(stack, truths, w_hats, traces):
+            alone_counter = FlopCounter()
+            w_alone, alone = rec.reconstruct(item, cfg, truth=truth, counter=alone_counter)
+            np.testing.assert_array_equal(w_hat, w_alone)
+            assert trace.rows() == alone.rows()
+            assert trace.total_flops == alone.total_flops == alone_counter.total
+            assert trace.converged == alone.converged
+        assert counter.total == 3 * traces[0].total_flops
+
+
+def test_reconstruct_stack_validation(system, tmp_path):
+    _, _, pup, _, w_true, slopes = system
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    cfg = SolverConfig("u-cg", max_iter=2)
+    with pytest.raises(ValueError, match="at least one"):
+        rec.reconstruct([], cfg)
+    other = simulate_measurements(w_true, pup, 2.0, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="noise variances"):
+        rec.reconstruct([slopes, other], cfg)
+    with pytest.raises(ValueError):
+        rec.reconstruct([slopes, slopes], cfg, truth=w_true)
 
 
 def test_truth_free_trace_marks_quality_columns_nan(system, tmp_path):
