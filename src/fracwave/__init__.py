@@ -14,8 +14,8 @@ from .harness import (BenchRow, ExperimentSpec, SimulationResult, draw_screen,
                       run_bench, run_sf_validation, run_simulation,
                       trial_generator)
 from .metrics import (FlopCounter, empirical_structure_function,
-                      flop_report, fractal_apply_flops, model_flops,
-                      radial_profile, residual_stats, strehl_ratio)
+                      fractal_apply_flops, radial_profile, residual_stats,
+                      strehl_ratio)
 from .sensor import (Pupil, ShackHartmann, SlopeSet, make_pupil,
                      simulate_measurements)
 from .solver import (VARIANTS, ConvergenceTrace, DiagonalPreconditioner,

@@ -109,6 +109,9 @@ def cmd_simulate(args) -> int:
             "trials": spec.trials, "seed": spec.seed}
     fileio.write_curves_csv(args.out, result, meta)
     print(f"wrote {args.out}: {len(spec.methods)} methods x {spec.trials} trials", file=sys.stderr)
+    print("median normalized residual variance at the last iteration:", file=sys.stderr)
+    for method in spec.methods:
+        print(f"  {method:<10} {result.median_normalized(method)[-1]:.3e}", file=sys.stderr)
     return 0
 
 
@@ -137,6 +140,13 @@ def cmd_bench(args) -> int:
             "max_iter": args.max_iter, "seed": args.seed}
     fileio.write_bench_csv(args.out, rows, meta)
     print(f"wrote {args.out}: {len(rows)} rows over p={ps}", file=sys.stderr)
+    per_sample: dict[str, list[float]] = {}
+    for row in rows:
+        if row.flops:  # the preconditioner build is timed, not counted
+            per_sample.setdefault(row.op, []).append(row.flops / row.samples)
+    print("flops per sample, min..max over p (flat means linear cost):", file=sys.stderr)
+    for op, values in per_sample.items():
+        print(f"  {op:<26} {min(values):.2f}..{max(values):.2f}", file=sys.stderr)
     return 0
 
 

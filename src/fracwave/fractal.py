@@ -22,16 +22,21 @@ The same pass structure gives the transpose, the inverse and the inverse
 transpose at identical cost.  All four run in place: the buffer holds
 generators on one side of the map and wavefront samples on the other.
 
-Ordering constraints for in-place evaluation: the forward map refines
-coarse to fine and, within a pass, centres before edge midpoints (the
-midpoints read same-pass centres); the inverse walks fine to coarse with
-edge midpoints before centres.  The transposed maps reverse those orders.
+One table orders the work: the corner step, then per pass, coarse to
+fine, a centre stage and an edge stage (the edge midpoints read the
+same-pass centres).  Each stage only reads samples that earlier stages
+have finished.  K walks the table in order, gathering each target from
+its parents; K^-1 walks it backwards and undoes each gather.  The
+transposes scatter each target into its parents instead: K^T walks the
+table backwards, K^-T in order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -218,12 +223,58 @@ def scale_count(side: int) -> int:
     return m.bit_length() - 1
 
 
+# Support corners in the cyclic order OuterOperator numbers them
+# (consecutive corners share a side), as (row, col) in W[..., ::n-1, ::n-1].
+_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+
+def _pass_stages(lev: ScaleCoefficients, n: int):
+    """(centre stage, edge stage) of one refinement pass on an n x n grid.
+
+    A stage is a tuple of targets ``(index, alpha0, ((weight, parents),
+    ...))``; ``index`` and each parent are ``(..., rows, cols)`` tuples of
+    ints and slices, so they select views.  The edge stage lists the
+    midpoints on rows, then the same targets with each index pair swapped
+    for the midpoints on columns.
+    """
+    r = lev.cell
+    h = r >> 1
+    mid = slice(h, None, r)                          # cell centres along an axis
+    lo, hi = slice(0, n - 1, r), slice(r, None, r)   # the two ends of each cell side
+    a0, ap = lev.square
+    t0, te, tc = lev.triangle
+    d0, dp = lev.diamond
+    centre = [((mid, mid), a0, ((ap, ((lo, lo), (lo, hi), (hi, lo), (hi, hi))),))]
+    rows = [
+        ((0, mid), t0, ((te, ((0, lo), (0, hi))), (tc, ((h, mid),)))),
+        ((n - 1, mid), t0, ((te, ((n - 1, lo), (n - 1, hi))), (tc, ((n - 1 - h, mid),)))),
+    ]
+    if r < n - 1:
+        inner = slice(r, n - 1, r)
+        above, below = slice(h, n - 1 - h, r), slice(h + r, None, r)
+        rows.append(
+            ((inner, mid), d0, ((dp, ((inner, lo), (inner, hi), (above, mid), (below, mid))),))
+        )
+
+    def stage(targets, swap=False):
+        def at(pair):
+            return (Ellipsis,) + (pair[::-1] if swap else pair)
+
+        return tuple(
+            (at(index), alpha0, tuple((w, tuple(map(at, parents))) for w, parents in groups))
+            for index, alpha0, groups in targets
+        )
+
+    return stage(centre), stage(rows) + stage(rows, swap=True)
+
+
 class FractalOperator:
     """In-place multiscale maps between generator and screen grids.
 
     Grids are float64 arrays whose last two axes are (2**p + 1) square;
     leading axes are treated as a batch.  Each of the four maps costs
-    exactly 6 * n**2 - 14 flops per grid and mutates its argument.
+    exactly 6 * n**2 - 14 flops per grid and mutates its argument.  All
+    four walk ``stages``, the refinement table in forward order.
     """
 
     def __init__(self, sf, p: int):
@@ -233,6 +284,11 @@ class FractalOperator:
         self.n = (1 << self.p) + 1
         self.levels = build_coefficients(sf, self.p)
         self.outer = build_outer_operator(sf, float(self.n - 1))
+        self.stages = tuple(s for lev in self.levels for s in _pass_stages(lev, self.n))
+        K, K_inv = self.outer.forward_matrix, self.outer.inverse_matrix
+        self._k, self._k_inv, self._k_t, self._k_inv_t = (
+            M.tolist() for M in (K, K_inv, K.T, K_inv.T)
+        )
 
     # -- plumbing ---------------------------------------------------------
 
@@ -254,261 +310,80 @@ class FractalOperator:
             batch = grid.size // (self.n * self.n)
             counter.add("fractal", batch * (6 * self.n * self.n - 14))
 
-    def _corners(self, W):
-        # Cyclic order around the support: consecutive corners share a side.
-        n = self.n
-        return (
-            np.copy(W[..., 0, 0]),
-            np.copy(W[..., 0, n - 1]),
-            np.copy(W[..., n - 1, n - 1]),
-            np.copy(W[..., n - 1, 0]),
-        )
+    # -- the three steps --------------------------------------------------
 
-    def _set_corners(self, W, v1, v2, v3, v4):
-        n = self.n
-        W[..., 0, 0] = v1
-        W[..., 0, n - 1] = v2
-        W[..., n - 1, n - 1] = v3
-        W[..., n - 1, 0] = v4
+    def _corners(self, W, M):
+        # Elementwise rather than a matmul: BLAS sums a batch in another
+        # order than a single grid, which breaks batch/loop bit equality.
+        C = W[..., :: self.n - 1, :: self.n - 1]
+        old = [C[..., i, j].copy() for i, j in _CORNERS]
+        for (i, j), row in zip(_CORNERS, M):
+            C[..., i, j] = reduce(add, [m * v for m, v in zip(row, old) if m])
 
-    # -- corner factor ----------------------------------------------------
+    def _gather(self, W, inverse):
+        # target = alpha0 * target + sum(weight * parents), or its inverse.
+        for stage in reversed(self.stages) if inverse else self.stages:
+            for index, alpha0, groups in stage:
+                t = W[index]
+                s = None
+                for w, qs in groups:
+                    term = W[qs[0]]
+                    for q in qs[1:]:
+                        term = term + W[q]
+                    s = w * term if s is None else s + w * term
+                if inverse:
+                    t -= s
+                    t /= alpha0
+                else:
+                    t *= alpha0
+                    t += s
 
-    def _outer_forward(self, W):
-        o = self.outer
-        u1, u2, u3, u4 = self._corners(W)
-        pa = 0.5 * o.a * u1
-        pb = 0.5 * o.b * u2
-        pc = 0.5 * o.c * u3
-        pd = 0.5 * o.c * u4
-        self._set_corners(W, pa - pb - pc, pa + pb - pd, pa - pb + pc, pa + pb + pd)
-
-    def _outer_inverse(self, W):
-        o = self.outer
-        w1, w2, w3, w4 = self._corners(W)
-        self._set_corners(
-            W,
-            (w1 + w2 + w3 + w4) / (2.0 * o.a),
-            (-w1 + w2 - w3 + w4) / (2.0 * o.b),
-            (w3 - w1) / o.c,
-            (w4 - w2) / o.c,
-        )
-
-    def _outer_transpose(self, W):
-        o = self.outer
-        w1, w2, w3, w4 = self._corners(W)
-        self._set_corners(
-            W,
-            0.5 * o.a * (w1 + w2 + w3 + w4),
-            0.5 * o.b * (-w1 + w2 - w3 + w4),
-            0.5 * o.c * (w3 - w1),
-            0.5 * o.c * (w4 - w2),
-        )
-
-    def _outer_inverse_transpose(self, W):
-        o = self.outer
-        w1, w2, w3, w4 = self._corners(W)
-        pa = w1 / (2.0 * o.a)
-        pb = w2 / (2.0 * o.b)
-        pc = w3 / o.c
-        pd = w4 / o.c
-        self._set_corners(W, pa - pb - pc, pa + pb - pd, pa - pb + pc, pa + pb + pd)
+    def _scatter(self, W, inverse):
+        # The transpose of _gather: each target adds itself, weighted, into
+        # its parents, so stages run in the opposite order.
+        for stage in self.stages if inverse else reversed(self.stages):
+            for index, alpha0, groups in stage:
+                t = W[index]
+                if inverse:
+                    t /= alpha0
+                for w, qs in groups:
+                    wt = (-w if inverse else w) * t
+                    for q in qs:
+                        parent = W[q]
+                        parent += wt
+                if not inverse:
+                    t *= alpha0
 
     # -- the four maps ----------------------------------------------------
 
     def apply(self, grid, counter=None):
         """Overwrite generators with the correlated screen (w = K u)."""
         W = self._grid(grid)
-        n = self.n
-        self._outer_forward(W)
-        for lev in self.levels:
-            r = lev.cell
-            h = r >> 1
-            m = (n - 1) // r
-            Cg = W[..., ::r, ::r]
-            ctr = W[..., h::r, h::r]
-            a0, ap = lev.square
-            ctr *= a0
-            ctr += ap * (
-                Cg[..., :-1, :-1] + Cg[..., :-1, 1:] + Cg[..., 1:, :-1] + Cg[..., 1:, 1:]
-            )
-            t0, te, tc = lev.triangle
-            d0, dp = lev.diamond
-            hsum = Cg[..., :, :-1] + Cg[..., :, 1:]
-            row = W[..., 0, h::r]
-            row *= t0
-            row += te * hsum[..., 0, :] + tc * ctr[..., 0, :]
-            row = W[..., n - 1, h::r]
-            row *= t0
-            row += te * hsum[..., m, :] + tc * ctr[..., m - 1, :]
-            if m > 1:
-                mid = W[..., r : n - 1 : r, h::r]
-                mid *= d0
-                mid += dp * (hsum[..., 1:m, :] + ctr[..., : m - 1, :] + ctr[..., 1:, :])
-            vsum = Cg[..., :-1, :] + Cg[..., 1:, :]
-            col = W[..., h::r, 0]
-            col *= t0
-            col += te * vsum[..., :, 0] + tc * ctr[..., :, 0]
-            col = W[..., h::r, n - 1]
-            col *= t0
-            col += te * vsum[..., :, m] + tc * ctr[..., :, m - 1]
-            if m > 1:
-                mid = W[..., h::r, r : n - 1 : r]
-                mid *= d0
-                mid += dp * (vsum[..., :, 1:m] + ctr[..., :, : m - 1] + ctr[..., :, 1:])
+        self._corners(W, self._k)
+        self._gather(W, inverse=False)
         self._charge(W, counter)
         return grid
 
     def apply_inverse(self, grid, counter=None):
         """Overwrite a screen with its generators (u = K^-1 w)."""
         W = self._grid(grid)
-        n = self.n
-        for lev in reversed(self.levels):
-            r = lev.cell
-            h = r >> 1
-            m = (n - 1) // r
-            Cg = W[..., ::r, ::r]
-            ctr = W[..., h::r, h::r]
-            a0, ap = lev.square
-            t0, te, tc = lev.triangle
-            d0, dp = lev.diamond
-            hsum = Cg[..., :, :-1] + Cg[..., :, 1:]
-            row = W[..., 0, h::r]
-            row -= te * hsum[..., 0, :] + tc * ctr[..., 0, :]
-            row /= t0
-            row = W[..., n - 1, h::r]
-            row -= te * hsum[..., m, :] + tc * ctr[..., m - 1, :]
-            row /= t0
-            if m > 1:
-                mid = W[..., r : n - 1 : r, h::r]
-                mid -= dp * (hsum[..., 1:m, :] + ctr[..., : m - 1, :] + ctr[..., 1:, :])
-                mid /= d0
-            vsum = Cg[..., :-1, :] + Cg[..., 1:, :]
-            col = W[..., h::r, 0]
-            col -= te * vsum[..., :, 0] + tc * ctr[..., :, 0]
-            col /= t0
-            col = W[..., h::r, n - 1]
-            col -= te * vsum[..., :, m] + tc * ctr[..., :, m - 1]
-            col /= t0
-            if m > 1:
-                mid = W[..., h::r, r : n - 1 : r]
-                mid -= dp * (vsum[..., :, 1:m] + ctr[..., :, : m - 1] + ctr[..., :, 1:])
-                mid /= d0
-            ctr -= ap * (
-                Cg[..., :-1, :-1] + Cg[..., :-1, 1:] + Cg[..., 1:, :-1] + Cg[..., 1:, 1:]
-            )
-            ctr /= a0
-        self._outer_inverse(W)
+        self._gather(W, inverse=True)
+        self._corners(W, self._k_inv)
         self._charge(W, counter)
         return grid
 
     def apply_transpose(self, grid, counter=None):
         """Apply the transpose of the forward map (z = K^T z), in place."""
         W = self._grid(grid)
-        n = self.n
-        for lev in reversed(self.levels):
-            r = lev.cell
-            h = r >> 1
-            m = (n - 1) // r
-            Cg = W[..., ::r, ::r]
-            ctr = W[..., h::r, h::r]
-            a0, ap = lev.square
-            t0, te, tc = lev.triangle
-            d0, dp = lev.diamond
-            row = W[..., 0, h::r]
-            Cg[..., 0, :-1] += te * row
-            Cg[..., 0, 1:] += te * row
-            ctr[..., 0, :] += tc * row
-            row *= t0
-            row = W[..., n - 1, h::r]
-            Cg[..., m, :-1] += te * row
-            Cg[..., m, 1:] += te * row
-            ctr[..., m - 1, :] += tc * row
-            row *= t0
-            if m > 1:
-                mid = W[..., r : n - 1 : r, h::r]
-                Cg[..., 1:m, :-1] += dp * mid
-                Cg[..., 1:m, 1:] += dp * mid
-                ctr[..., : m - 1, :] += dp * mid
-                ctr[..., 1:, :] += dp * mid
-                mid *= d0
-            col = W[..., h::r, 0]
-            Cg[..., :-1, 0] += te * col
-            Cg[..., 1:, 0] += te * col
-            ctr[..., :, 0] += tc * col
-            col *= t0
-            col = W[..., h::r, n - 1]
-            Cg[..., :-1, m] += te * col
-            Cg[..., 1:, m] += te * col
-            ctr[..., :, m - 1] += tc * col
-            col *= t0
-            if m > 1:
-                mid = W[..., h::r, r : n - 1 : r]
-                Cg[..., :-1, 1:m] += dp * mid
-                Cg[..., 1:, 1:m] += dp * mid
-                ctr[..., :, : m - 1] += dp * mid
-                ctr[..., :, 1:] += dp * mid
-                mid *= d0
-            Cg[..., :-1, :-1] += ap * ctr
-            Cg[..., :-1, 1:] += ap * ctr
-            Cg[..., 1:, :-1] += ap * ctr
-            Cg[..., 1:, 1:] += ap * ctr
-            ctr *= a0
-        self._outer_transpose(W)
+        self._scatter(W, inverse=False)
+        self._corners(W, self._k_t)
         self._charge(W, counter)
         return grid
 
     def apply_inverse_transpose(self, grid, counter=None):
         """Apply the inverse transpose (z = K^-T z), in place."""
         W = self._grid(grid)
-        n = self.n
-        self._outer_inverse_transpose(W)
-        for lev in self.levels:
-            r = lev.cell
-            h = r >> 1
-            m = (n - 1) // r
-            Cg = W[..., ::r, ::r]
-            ctr = W[..., h::r, h::r]
-            a0, ap = lev.square
-            t0, te, tc = lev.triangle
-            d0, dp = lev.diamond
-            ctr /= a0
-            Cg[..., :-1, :-1] -= ap * ctr
-            Cg[..., :-1, 1:] -= ap * ctr
-            Cg[..., 1:, :-1] -= ap * ctr
-            Cg[..., 1:, 1:] -= ap * ctr
-            row = W[..., 0, h::r]
-            row /= t0
-            Cg[..., 0, :-1] -= te * row
-            Cg[..., 0, 1:] -= te * row
-            ctr[..., 0, :] -= tc * row
-            row = W[..., n - 1, h::r]
-            row /= t0
-            Cg[..., m, :-1] -= te * row
-            Cg[..., m, 1:] -= te * row
-            ctr[..., m - 1, :] -= tc * row
-            if m > 1:
-                mid = W[..., r : n - 1 : r, h::r]
-                mid /= d0
-                Cg[..., 1:m, :-1] -= dp * mid
-                Cg[..., 1:m, 1:] -= dp * mid
-                ctr[..., : m - 1, :] -= dp * mid
-                ctr[..., 1:, :] -= dp * mid
-            col = W[..., h::r, 0]
-            col /= t0
-            Cg[..., :-1, 0] -= te * col
-            Cg[..., 1:, 0] -= te * col
-            ctr[..., :, 0] -= tc * col
-            col = W[..., h::r, n - 1]
-            col /= t0
-            Cg[..., :-1, m] -= te * col
-            Cg[..., 1:, m] -= te * col
-            ctr[..., :, m - 1] -= tc * col
-            if m > 1:
-                mid = W[..., h::r, r : n - 1 : r]
-                mid /= d0
-                Cg[..., :-1, 1:m] -= dp * mid
-                Cg[..., 1:, 1:m] -= dp * mid
-                ctr[..., :, : m - 1] -= dp * mid
-                ctr[..., :, 1:] -= dp * mid
+        self._corners(W, self._k_inv_t)
+        self._scatter(W, inverse=True)
         self._charge(W, counter)
         return grid

@@ -1,4 +1,4 @@
-"""End-to-end experiment drivers used by the CLI and the scripts.
+"""End-to-end experiment drivers used by the CLI.
 
 Trials are seeded independently: trial t of a run with master seed s
 draws from a generator keyed by (s, t), so results do not depend on
@@ -18,14 +18,8 @@ import numpy as np
 from .fractal import FractalOperator
 from .metrics import FlopCounter, empirical_structure_function, radial_profile
 from .sensor import simulate_measurements
-from .solver import VARIANTS, Reconstructor, SolverConfig
+from .solver import CHUNK_BYTES, VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
-
-
-# Bytes of one (chunk, n, n) float64 grid stack in run_simulation; a
-# stacked PCG solve holds about a dozen such stacks.  That puts all
-# trials of a p=6 run up to 496 in one chunk, and 31 at p=8.
-CHUNK_BYTES = 16 << 20
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -85,9 +79,6 @@ class SimulationResult:
 
     def median_normalized(self, method: str) -> np.ndarray:
         return np.median(self.resid_var_norm[method], axis=0)
-
-    def median_flops(self, method: str) -> np.ndarray:
-        return np.median(self.iteration_flops[method], axis=0)
 
 
 def _padded(values, length):

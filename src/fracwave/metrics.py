@@ -27,49 +27,10 @@ class FlopCounter:
     def tallies(self) -> dict[str, int]:
         return dict(self._tallies)
 
-    def reset(self):
-        self._tallies.clear()
-
-    def merge(self, other: "FlopCounter"):
-        for family, count in other.tallies().items():
-            self.add(family, count)
-
 
 def fractal_apply_flops(n_samples: int) -> int:
     """Exact cost of one multiscale map application."""
     return 6 * n_samples - 14
-
-
-def model_flops(n_samples: int, iterations: int, preconditioned: bool,
-                zero_start_space: str | None = None) -> int:
-    """Predicted solve cost: (overhead + per-iteration * iterations) * N.
-
-    The per-iteration coefficient is 33 without and 34 with diagonal
-    preconditioning.  The overhead is 23 for a general initial guess; a
-    zero start reduces it to 4 in the wavefront space and 10 in the
-    generator space.
-    """
-    per_iter = 34 if preconditioned else 33
-    overhead = 23
-    if zero_start_space == "w":
-        overhead = 4
-    elif zero_start_space == "u":
-        overhead = 10
-    elif zero_start_space is not None:
-        raise ValueError(f"unknown space {zero_start_space!r}")
-    return (overhead + per_iter * iterations) * n_samples
-
-
-def flop_report(counter: FlopCounter, n_samples: int, iterations: int,
-                preconditioned: bool) -> dict:
-    """Measured tallies next to the model prediction for one solve."""
-    per_iter = 34 if preconditioned else 33
-    return {
-        "tallies": counter.tallies(),
-        "total": counter.total,
-        "model_total": model_flops(n_samples, iterations, preconditioned),
-        "model_per_iteration": per_iter * n_samples,
-    }
 
 
 def residual_stats(w_hat, w_true, pupil):

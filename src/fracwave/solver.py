@@ -172,6 +172,12 @@ class DiagonalPreconditioner:
 # at the radius ties between two columns.
 PROBE_STRIDE = {"u": 9, "w": 5}
 
+# Bytes of one (batch, n, n) float64 grid stack, for trial chunks in
+# run_simulation and probe batches here; one operator application holds
+# several such stacks, a stacked PCG solve about a dozen.  That is 496
+# grids at p=6 and 31 at p=8.
+CHUNK_BYTES = 16 << 20
+
 
 def _sample_passes(p: int) -> np.ndarray:
     """Refinement pass that places each sample of a (2**p + 1)-side grid.
@@ -236,7 +242,7 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     p = scale_count(n)
     size = n * n
     if batch_size is None:
-        batch_size = max(1, min(512, (1 << 23) // size))
+        batch_size = max(1, CHUNK_BYTES // (8 * size))
     start = time.perf_counter()
     passes = _sample_passes(p)
     diag = np.zeros((n, n))

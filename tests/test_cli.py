@@ -117,7 +117,7 @@ def test_reconstruct_infers_grid_from_slope_comment(pipeline):
     assert read_grid(out).shape == (9, 9)
 
 
-def test_simulate_writes_all_method_curves(tmp_path):
+def test_simulate_writes_all_method_curves(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(
         [
@@ -140,6 +140,8 @@ def test_simulate_writes_all_method_curves(tmp_path):
     lines = out.read_text().splitlines()
     methods = {line.split(",")[0] for line in lines[2:]}
     assert methods == {"w-cg", "w-pcg-jac", "w-pcg-opt", "u-cg", "u-pcg-jac", "u-pcg-opt"}
+    summary = capsys.readouterr().err.splitlines()[-6:]
+    assert {line.split()[0] for line in summary} == methods
 
 
 def test_validate_sf_writes_profile_and_map(tmp_path):
@@ -165,12 +167,14 @@ def test_validate_sf_writes_profile_and_map(tmp_path):
     assert read_grid(map_path).shape == (17, 17)
 
 
-def test_bench_writes_rows(tmp_path):
+def test_bench_writes_rows(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--p", "3", "--max-iter", "2", "--out", str(out)]) == 0
+    assert main(["bench", "--p", "2:3", "--max-iter", "2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[1] == "p,n,samples,op,flops,flops_per_sample,seconds"
     assert len(lines) > 2
+    # 6 - 14/N flops per sample at N = 25 and 81
+    assert "  fractal-forward            5.44..5.83" in capsys.readouterr().err.splitlines()
 
 
 def test_validation_failures_exit_2(tmp_path):

@@ -98,15 +98,17 @@ def test_apply_is_linear(x, y, a):
     np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-7)
 
 
-def test_batch_matches_loop():
+@pytest.mark.parametrize(
+    "name", ["apply", "apply_inverse", "apply_transpose", "apply_inverse_transpose"]
+)
+def test_batch_matches_loop(name):
     _, op = make_op(3)
+    fn = getattr(op, name)
     x = random_grids(3, 4, seed=9)
-    batched = op.apply(x.copy())
+    batched = fn(x.copy())
     for i in range(4):
-        np.testing.assert_array_equal(batched[i], op.apply(x[i].copy()))
-    batched_t = op.apply_transpose(x.copy())
-    for i in range(4):
-        np.testing.assert_array_equal(batched_t[i], op.apply_transpose(x[i].copy()))
+        np.testing.assert_array_equal(batched[i], fn(x[i].copy()))
+        np.testing.assert_array_equal(batched[i], fn(x[i : i + 1].copy())[0])
 
 
 def test_operators_run_in_place():

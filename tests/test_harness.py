@@ -115,7 +115,6 @@ def test_simulation_median_helpers(small_sim):
     np.testing.assert_array_equal(
         res.median_normalized(m), np.median(res.resid_var_norm[m], axis=0)
     )
-    np.testing.assert_array_equal(res.median_flops(m), np.median(res.iteration_flops[m], axis=0))
 
 
 def solve_trials_alone(spec, cache_dir):

@@ -6,9 +6,7 @@ import pytest
 from fracwave.metrics import (
     FlopCounter,
     empirical_structure_function,
-    flop_report,
     fractal_apply_flops,
-    model_flops,
     radial_profile,
     residual_stats,
     strehl_ratio,
@@ -28,19 +26,6 @@ def test_counter_accumulates_by_family():
     assert c.total == 17
 
 
-def test_counter_merge_and_reset():
-    a = FlopCounter()
-    a.add("x", 3)
-    b = FlopCounter()
-    b.add("x", 10)
-    b.add("y", 4)
-    a.merge(b)
-    assert a.tallies() == {"x": 13, "y": 4}
-    a.reset()
-    assert a.tallies() == {}
-    assert a.total == 0
-
-
 def test_tallies_returns_a_copy():
     c = FlopCounter()
     c.add("x", 1)
@@ -54,29 +39,6 @@ def test_tallies_returns_a_copy():
 def test_fractal_apply_model():
     assert fractal_apply_flops(25) == 6 * 25 - 14
     assert fractal_apply_flops(66049) == 6 * 66049 - 14
-
-
-def test_model_flops_structure():
-    n = 100
-    # 23N setup plus 33N (CG) or 34N (PCG) per iteration
-    assert model_flops(n, 10, True) == (23 + 34 * 10) * n
-    assert model_flops(n, 10, False) == (23 + 33 * 10) * n
-    for k in (1, 5, 17):
-        assert model_flops(n, k, True) - model_flops(n, k - 1, True) == 34 * n
-        assert model_flops(n, k, False) - model_flops(n, k - 1, False) == 33 * n
-    # a zero first guess skips part of the setup work
-    assert model_flops(n, 10, True, zero_start_space="u") < model_flops(n, 10, True)
-    assert model_flops(n, 10, True, zero_start_space="w") < model_flops(n, 10, True)
-
-
-def test_flop_report_contents():
-    c = FlopCounter()
-    c.add("fractal", 472)
-    rep = flop_report(c, 81, 10, True)
-    assert rep["tallies"] == {"fractal": 472}
-    assert rep["total"] == 472
-    assert rep["model_total"] == model_flops(81, 10, True)
-    assert rep["model_per_iteration"] == 34 * 81
 
 
 # -- residual quality ---------------------------------------------------------

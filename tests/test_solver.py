@@ -11,6 +11,7 @@ from fracwave.fractal import FractalOperator
 from fracwave.metrics import FlopCounter, fractal_apply_flops
 from fracwave.sensor import ShackHartmann, SlopeSet, make_pupil, simulate_measurements
 from fracwave.solver import (
+    CHUNK_BYTES,
     VARIANTS,
     DiagonalPreconditioner,
     IndefiniteOperatorError,
@@ -133,9 +134,11 @@ class GridCounter:
         self.space = space
         self.fill = fill
         self.grids = 0
+        self.largest = 0
 
     def apply(self, x):
         self.grids += x.shape[0]
+        self.largest = max(self.largest, x.shape[0])
         return np.full_like(x, self.fill)
 
 
@@ -146,6 +149,7 @@ def test_colored_probe_count_grows_by_a_constant_per_pass(space, stride):
         op = GridCounter(p, space)
         operator_diagonal_stats(op)
         counts.append(op.grids)
+        assert op.largest * 8 * op.n * op.n <= CHUNK_BYTES
     assert np.diff(counts).tolist() == [stride * stride] * 4
     assert counts[-1] <= 600
 
