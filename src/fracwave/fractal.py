@@ -245,16 +245,22 @@ def _pass_stages(lev: ScaleCoefficients, n: int):
     t0, te, tc = lev.triangle
     d0, dp = lev.diamond
     centre = [((mid, mid), a0, ((ap, ((lo, lo), (lo, hi), (hi, lo), (hi, hi))),))]
-    rows = [
-        ((0, mid), t0, ((te, ((0, lo), (0, hi))), (tc, ((h, mid),)))),
-        ((n - 1, mid), t0, ((te, ((n - 1, lo), (n - 1, hi))), (tc, ((n - 1 - h, mid),)))),
-    ]
-    if r < n - 1:
+    if r == n - 1:
+        # First pass: both boundary rows read the one centre row h.
+        rows = [
+            ((0, mid), t0, ((te, ((0, lo), (0, hi))), (tc, ((h, mid),)))),
+            ((n - 1, mid), t0, ((te, ((n - 1, lo), (n - 1, hi))), (tc, ((n - 1 - h, mid),)))),
+        ]
+    else:
+        # Rows 0 and n - 1 as one strided target; their centre rows are h
+        # and n - 1 - h.
+        edge, near = slice(0, None, n - 1), slice(h, n - h, n - 1 - r)
         inner = slice(r, n - 1, r)
         above, below = slice(h, n - 1 - h, r), slice(h + r, None, r)
-        rows.append(
-            ((inner, mid), d0, ((dp, ((inner, lo), (inner, hi), (above, mid), (below, mid))),))
-        )
+        rows = [
+            ((edge, mid), t0, ((te, ((edge, lo), (edge, hi))), (tc, ((near, mid),)))),
+            ((inner, mid), d0, ((dp, ((inner, lo), (inner, hi), (above, mid), (below, mid))),)),
+        ]
 
     def stage(targets, swap=False):
         def at(pair):

@@ -100,12 +100,24 @@ class SlopeSet:
 
 
 class ShackHartmann:
-    """Slope extraction over a pupil and its adjoint, batch friendly.
+    """Slope extraction over a pupil, its adjoint and S^T W S, batch friendly.
 
-    The flop charge per application is 2 * edges + 2 * nsub: vertical
-    cell-edge sums and differences are shared between the two slope
-    components and between adjacent subapertures, matching the factored
-    evaluation below.
+    The flop charge per application of S or S^T is 2 * edges + 2 * nsub:
+    vertical cell-edge sums and differences are shared between the two
+    slope components and between adjacent subapertures, matching the
+    factored evaluation below.
+
+    ``gram`` applies S^T W S as one stencil on the (n - 1)-side cell grid.
+    Per subaperture, with corners w00, we, wn, wne,
+
+        dx + dy = wne - w00,        dx - dy = we - wn,
+
+    so the weighted half-sum and half-difference of the two slopes, the
+    values that S^T scatters onto the four corners, need one difference
+    each.  It is charged as ``forward``, the weighting of both slopes and
+    ``adjoint`` in turn.  Cells outside the pupil carry weight 0 and do
+    arithmetic that this charge does not count: 65,536 cells against
+    45,028 subapertures at p=8.
     """
 
     def __init__(self, pupil: Pupil):
@@ -168,6 +180,38 @@ class ShackHartmann:
         if counter is not None:
             batch = out.size // (n * n) if out.size else 1
             counter.add("sensor", batch * self._flops)
+        return out
+
+    def cell_weights(self, inv_var) -> np.ndarray:
+        """Weights of ``gram``: half of each subaperture's inverse variance on
+        its cell of the (n - 1)-side cell grid, 0 on every other cell."""
+        n = self.pupil.n
+        cells = np.zeros((n - 1) * (n - 1))
+        cells[self._cell] = 0.5 * np.asarray(inv_var, dtype=float)
+        return cells.reshape(n - 1, n - 1)
+
+    def gram(self, w, cells, counter=None) -> np.ndarray:
+        """S^T W S w for wavefronts (..., n, n), W given as ``cell_weights``."""
+        n = self.pupil.n
+        if w.shape[-2:] != (n, n):
+            raise ValueError(f"wavefront side must be {n}, got {w.shape[-2:]}")
+        total = w[..., 1:, 1:] - w[..., :-1, :-1]
+        total *= cells
+        diff = w[..., :-1, 1:] - w[..., 1:, :-1]
+        diff *= cells
+        # One slice update per corner, in the order ne, e, n, origin; the
+        # first sets every sample but row 0 and column 0.
+        out = np.empty_like(w)
+        out[..., 1:, 1:] = total
+        out[..., 0, :] = 0.0
+        out[..., 1:, 0] = 0.0
+        out[..., :-1, 1:] += diff
+        out[..., 1:, :-1] -= diff
+        out[..., :-1, :-1] -= total
+        if counter is not None:
+            batch = w.size // (n * n)
+            counter.add("sensor", 2 * batch * self._flops)
+            counter.add("noise", 2 * batch * self.pupil.nsub)
         return out
 
 

@@ -85,8 +85,10 @@ class NormalOperator:
     """Left-hand side A x of the normal equations, applied matrix-free.
 
     ``inv_var`` holds one inverse noise variance per subaperture, applied
-    to both slope components.  Inputs of shape (..., n, n) are treated as
-    a batch; ``apply`` never mutates its argument.
+    to both slope components.  The data term S^T W S runs as one stencil
+    on the sensor's cell grid (``ShackHartmann.gram``), with the weights
+    laid out once here.  Inputs of shape (..., n, n) are treated as a
+    batch; ``apply`` never mutates its argument.
     """
 
     def __init__(self, fractal: FractalOperator, sensor: ShackHartmann, inv_var, space: str):
@@ -104,29 +106,19 @@ class NormalOperator:
         self.inv_var = inv_var
         self.space = space
         self.n = fractal.n
-
-    def _weight(self, dx, dy, counter):
-        dx *= self.inv_var
-        dy *= self.inv_var
-        if counter is not None:
-            counter.add("noise", dx.size + dy.size)
+        self._cells = sensor.cell_weights(inv_var)
 
     def apply(self, x, counter=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asanyarray(x, dtype=float)
         if self.space == "w":
-            prior = x.copy()
-            self.fractal.apply_inverse(prior, counter)
-            self.fractal.apply_inverse_transpose(prior, counter)
-            dx, dy = self.sensor.forward(x, counter)
-            self._weight(dx, dy, counter)
-            out = self.sensor.adjoint(dx, dy, counter)
-            out += prior
+            out = x.copy()
+            self.fractal.apply_inverse(out, counter)
+            self.fractal.apply_inverse_transpose(out, counter)
+            out += self.sensor.gram(x, self._cells, counter)
         else:
             screen = x.copy()
             self.fractal.apply(screen, counter)
-            dx, dy = self.sensor.forward(screen, counter)
-            self._weight(dx, dy, counter)
-            out = self.sensor.adjoint(dx, dy, counter)
+            out = self.sensor.gram(screen, self._cells, counter)
             self.fractal.apply_transpose(out, counter)
             out += x
         if counter is not None:
@@ -423,11 +415,17 @@ class CacheEntryError(ValueError):
     """A preconditioner cache entry that cannot be used as it stands."""
 
 
-def _read_stats_entry(path: Path, n: int):
+# Layout of a cache entry: the arrays diag and rowsq, the full key they
+# were built for and this number.  Bump it when the layout changes.
+CACHE_FORMAT = 1
+
+
+def _read_stats_entry(path: Path, n: int, key: str):
     """(diag, rowsq) from a cache entry, checked like any outside input.
 
-    Raises CacheEntryError unless the file is an npz archive holding both
-    arrays as finite, positive float64 grids of side n.
+    Raises CacheEntryError unless the file is an npz archive of format
+    ``CACHE_FORMAT`` built for ``key``, holding both arrays as finite,
+    positive float64 grids of side n.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -436,10 +434,17 @@ def _read_stats_entry(path: Path, n: int):
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise CacheEntryError("not an npz archive")
     with data:
+        if not {"key", "version"} <= set(data.files):
+            raise CacheEntryError("no key or format version stored")
         try:
+            version, stored_key = data["version"], data["key"]
             stats = (data["diag"], data["rowsq"])
         except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
             raise CacheEntryError(f"unreadable arrays ({exc})") from exc
+    if version.shape != () or version.dtype.kind not in "iu" or version != CACHE_FORMAT:
+        raise CacheEntryError(f"format {version}, expected {CACHE_FORMAT}")
+    if stored_key.shape != () or stored_key.dtype.kind != "U" or str(stored_key) != key:
+        raise CacheEntryError("built for another key")
     for name, values in zip(("diag", "rowsq"), stats):
         if values.shape != (n, n) or values.dtype != np.float64:
             raise CacheEntryError(
@@ -464,7 +469,8 @@ class Reconstructor:
 
     Construct once per (p, r0) and reuse across trials: the diagonal
     preconditioner statistics are cached in memory and on disk, keyed by
-    the operator coefficients, the pupil and the noise weights.
+    the operator coefficients, the pupil and the noise weights.  Each
+    file stores its full key and is rebuilt when it does not match.
     """
 
     def __init__(self, p: int, r0: float = 1.0, cache_dir=None):
@@ -511,7 +517,7 @@ class Reconstructor:
         stats = None
         if path is not None and path.exists():
             try:
-                stats = _read_stats_entry(path, self.n)
+                stats = _read_stats_entry(path, self.n, key)
             except CacheEntryError as exc:
                 log.warning("rebuilding unusable preconditioner cache entry %s: %s", path, exc)
             else:
@@ -523,7 +529,8 @@ class Reconstructor:
                 fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
                 os.close(fd)
                 try:
-                    np.savez(tmp, diag=stats[0], rowsq=stats[1])
+                    np.savez(tmp, diag=stats[0], rowsq=stats[1], key=np.array(key),
+                             version=np.array(CACHE_FORMAT))
                     os.replace(tmp, path)
                 finally:
                     if os.path.exists(tmp):

@@ -1,0 +1,56 @@
+"""Ufunc-call budgets of the operators, counted with ``CallCounting``.
+
+Below p=7 an operator application costs per numpy call more than per
+sample, so a change that adds calls shows here as a count before it
+shows on a timer.  A multiscale map makes 20 calls in its corner step
+and 30 per refinement pass; the normal operator makes two maps, 7 calls
+for S^T W S on the cell grid and 1 for the sum of its two terms.
+"""
+
+import numpy as np
+import pytest
+
+from fracwave.solver import Reconstructor
+
+from callcount import CallCounting, ufunc_calls
+
+MAPS = ("apply", "apply_inverse", "apply_transpose", "apply_inverse_transpose")
+
+
+def map_calls(p):
+    return 20 + 30 * p  # 170 at p=5, 230 at p=7
+
+
+def normal_calls(p):
+    return 2 * map_calls(p) + 7 + 1  # 348 at p=5, 468 at p=7
+
+
+@pytest.fixture(scope="module", params=[5, 7])
+def rec(request):
+    return Reconstructor(request.param, cache_dir=None)
+
+
+def test_counting_array_counts_derived_arrays():
+    x = np.zeros((4, 4)).view(CallCounting)
+    CallCounting.calls = 0
+    y = x[1:] + 1.0  # 1
+    y *= 2.0         # 2, in place on a derived array
+    z = y.copy()
+    z[0] = 5.0       # assignment is not a ufunc
+    np.subtract(z, z, out=z)  # 3
+    assert isinstance(y, CallCounting) and isinstance(z, CallCounting)
+    assert CallCounting.calls == 3
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_multiscale_map_call_budget(rec, name):
+    x = np.random.default_rng(0).standard_normal((rec.n, rec.n))
+    assert ufunc_calls(getattr(rec.fractal, name), x) == map_calls(rec.p)
+
+
+@pytest.mark.parametrize("space", ["u", "w"])
+def test_normal_operator_call_budget(rec, space):
+    rng = np.random.default_rng(1)
+    A = rec.system(rng.uniform(0.5, 2.0, rec.pupil.nsub), space)
+    x = rng.standard_normal((rec.n, rec.n))
+    assert ufunc_calls(A.apply, x) == normal_calls(rec.p)

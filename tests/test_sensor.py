@@ -130,6 +130,30 @@ def test_batched_forward_and_adjoint_match_dense_matrix(p):
             np.testing.assert_array_equal(sh.forward(w[i, j])[0], dx[i, j])
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_gram_matches_dense_matrix(p):
+    n = (1 << p) + 1
+    pup = make_pupil(n)
+    sh = ShackHartmann(pup)
+    S = dense_sensor_matrix(pup)
+    rng = np.random.default_rng(p)
+    inv_var = rng.uniform(0.2, 3.0, pup.nsub)
+    inv_var[rng.random(pup.nsub) < 0.2] = 0.0
+    cells = sh.cell_weights(inv_var)
+    valid = np.zeros((n - 1, n - 1), dtype=bool)
+    valid[pup.subap_y, pup.subap_x] = True
+    assert np.all(cells[~valid] == 0.0)
+    w = rng.normal(size=(2, 3, n, n))
+    got = sh.gram(w, cells)
+    assert got.shape == (2, 3, n, n)
+    StWS = S.T @ (np.concatenate([inv_var, inv_var])[:, None] * S)
+    np.testing.assert_allclose(got.reshape(6, n * n), w.reshape(6, n * n) @ StWS,
+                               rtol=0, atol=1e-13)
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(sh.gram(w[i, j], cells), got[i, j])
+
+
 def test_adjoint_identity():
     pup = make_pupil(17)
     sh = ShackHartmann(pup)
@@ -170,6 +194,9 @@ def test_flop_charge_uses_shared_edges():
         counter = FlopCounter()
         sh.adjoint(np.zeros(pup.nsub), np.zeros(pup.nsub), counter=counter)
         assert counter.total == expected
+        counter = FlopCounter()
+        sh.gram(np.zeros((3, n, n)), sh.cell_weights(np.ones(pup.nsub)), counter=counter)
+        assert counter.tallies() == {"sensor": 3 * 2 * expected, "noise": 3 * 2 * pup.nsub}
 
 
 # -- measurement simulation -------------------------------------------------

@@ -61,14 +61,56 @@ def dense_normal_parts(op, pup, slopes):
 # -- normal operator ---------------------------------------------------------
 
 
-def test_normal_operator_matches_dense_both_spaces(system):
-    _, op, pup, sh, _, slopes = system
-    _, A_w, A_u, _, _ = dense_normal_parts(op, pup, slopes)
-    inv_var = 1.0 / slopes.var
-    for space, ref in (("w", A_w), ("u", A_u)):
-        A = NormalOperator(op, sh, inv_var, space)
-        dense = dense_grid_operator(A.apply, N_SIDE)
-        np.testing.assert_allclose(dense, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+def test_normal_operator_matches_dense_both_spaces():
+    # Non-uniform weights with exact zeros, p = 1 (no subaperture) to 5.
+    for p in range(1, 6):
+        rec = Reconstructor(p, cache_dir=None)
+        n, nsub = rec.n, rec.pupil.nsub
+        rng = np.random.default_rng(p)
+        inv_var = rng.uniform(0.2, 3.0, nsub)
+        inv_var[rng.random(nsub) < 0.2] = 0.0
+        basis = np.eye(n * n).reshape(-1, n, n)
+        K = rec.fractal.apply(basis.copy()).reshape(n * n, n * n).T
+        S = dense_sensor_matrix(rec.pupil)
+        StWS = S.T @ (np.concatenate([inv_var, inv_var])[:, None] * S)
+        K_inv = np.linalg.inv(K)
+        refs = {"w": StWS + K_inv.T @ K_inv, "u": K.T @ StWS @ K + np.eye(n * n)}
+        for space, ref in refs.items():
+            dense = rec.system(inv_var, space).apply(basis).reshape(n * n, n * n).T
+            np.testing.assert_allclose(dense, ref, rtol=0, atol=1e-9 * np.abs(ref).max(),
+                                       err_msg=f"p={p} {space}")
+
+
+@pytest.mark.parametrize("space", ["u", "w"])
+def test_normal_operator_stack_matches_each_grid_bit_for_bit(space):
+    rec = Reconstructor(5, cache_dir=None)
+    rng = np.random.default_rng(11)
+    inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
+    inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
+    A = rec.system(inv_var, space)
+    x = rng.standard_normal((3, rec.n, rec.n))
+    before = x.copy()
+    stacked = A.apply(x)
+    np.testing.assert_array_equal(x, before)
+    for grid, got in zip(x, stacked):
+        np.testing.assert_array_equal(A.apply(grid), got)
+
+
+@pytest.mark.parametrize("space", ["u", "w"])
+@pytest.mark.parametrize("p", [3, 6])
+def test_normal_operator_charges_each_family_exactly(p, space):
+    rec = Reconstructor(p, cache_dir=None)
+    n, nsub, edges = rec.n, rec.pupil.nsub, rec.sensor.n_edges
+    A = rec.system(np.ones(nsub), space)
+    for batch in (1, 4):
+        counter = FlopCounter()
+        A.apply(np.ones((batch, n, n)), counter)
+        assert counter.tallies() == {
+            "fractal": batch * 2 * fractal_apply_flops(n * n),
+            "sensor": batch * 2 * (2 * edges + 2 * nsub),
+            "noise": batch * 2 * nsub,
+            "vector": batch * n * n,
+        }
 
 
 def test_normal_operator_is_spd(system):
@@ -513,7 +555,13 @@ def test_cache_events_are_logged(system, tmp_path, caplog):
         assert hit.levelno == logging.DEBUG and "cache hit" in hit.getMessage()
 
 
-def _spoil(path, kind, diag, rowsq):
+def _spoil(path, kind, arrays):
+    diag, rowsq = arrays["diag"], arrays["rowsq"]
+
+    def save(**changed):
+        np.savez(path, **{name: value for name, value in dict(arrays, **changed).items()
+                          if value is not None})
+
     if kind == "not-zip":
         path.write_bytes(b"this is not a zip archive\n")
     elif kind == "truncated-zip":
@@ -522,19 +570,23 @@ def _spoil(path, kind, diag, rowsq):
         with open(path, "wb") as fh:
             np.save(fh, diag)
     elif kind == "missing-array":
-        np.savez(path, diag=diag)
+        save(rowsq=None)
     elif kind == "wrong-shape":
-        np.savez(path, diag=diag[:-1], rowsq=rowsq[:-1])
+        save(diag=diag[:-1], rowsq=rowsq[:-1])
     elif kind == "wrong-dtype":
-        np.savez(path, diag=diag.astype(np.float32), rowsq=rowsq)
+        save(diag=diag.astype(np.float32))
     elif kind == "non-finite":
         bad = rowsq.copy()
         bad[2, 3] = np.nan
-        np.savez(path, diag=diag, rowsq=bad)
+        save(rowsq=bad)
     elif kind == "non-positive":
         bad = diag.copy()
         bad[1, 1] = -1.0
-        np.savez(path, diag=bad, rowsq=rowsq)
+        save(diag=bad)
+    elif kind == "no-key":
+        save(key=None, version=None)  # the layout before keys were stored
+    elif kind == "other-version":
+        save(version=np.array(solver.CACHE_FORMAT + 1))
     else:
         raise AssertionError(kind)
 
@@ -542,7 +594,7 @@ def _spoil(path, kind, diag, rowsq):
 @pytest.mark.parametrize(
     "kind",
     ["not-zip", "truncated-zip", "plain-npy", "missing-array", "wrong-shape",
-     "wrong-dtype", "non-finite", "non-positive"],
+     "wrong-dtype", "non-finite", "non-positive", "no-key", "other-version", "other-key"],
 )
 def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
     _, _, _, _, _, slopes = system
@@ -550,8 +602,17 @@ def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
     w_ref, _ = Reconstructor(P, cache_dir=tmp_path).reconstruct(slopes, config)
     (entry,) = tmp_path.iterdir()
     with np.load(entry) as data:
-        diag, rowsq = data["diag"], data["rowsq"]
-    _spoil(entry, kind, diag, rowsq)
+        arrays = dict(data)
+    assert sorted(arrays) == ["diag", "key", "rowsq", "version"]
+    if kind == "other-key":
+        # A valid entry, but of another weighting: its statistics differ.
+        other = tmp_path / "other"
+        Reconstructor(P, cache_dir=other).preconditioner(2.0 / slopes.var, "u", "optimal")
+        (source,) = other.iterdir()
+        source.replace(entry)
+        other.rmdir()
+    else:
+        _spoil(entry, kind, arrays)
     with caplog.at_level(logging.WARNING, logger="fracwave"):
         w_hat, _ = Reconstructor(P, cache_dir=tmp_path).reconstruct(slopes, config)
     np.testing.assert_array_equal(w_hat, w_ref)
@@ -559,5 +620,6 @@ def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
     assert warning.levelno == logging.WARNING and entry.name in warning.getMessage()
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
     with np.load(entry) as data:
-        np.testing.assert_array_equal(data["diag"], diag)
-        np.testing.assert_array_equal(data["rowsq"], rowsq)
+        assert sorted(data.files) == sorted(arrays)
+        for name, value in arrays.items():
+            np.testing.assert_array_equal(data[name], value)
