@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -224,8 +222,9 @@ def scale_count(side: int) -> int:
 
 
 # Support corners in the cyclic order OuterOperator numbers them
-# (consecutive corners share a side), as (row, col) in W[..., ::n-1, ::n-1].
-_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+# (consecutive corners share a side), as the index (..., rows, cols) into
+# W[..., ::n-1, ::n-1].
+_CORNERS = (Ellipsis, np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]))
 
 
 def _pass_stages(lev: ScaleCoefficients, n: int):
@@ -292,9 +291,7 @@ class FractalOperator:
         self.outer = build_outer_operator(sf, float(self.n - 1))
         self.stages = tuple(s for lev in self.levels for s in _pass_stages(lev, self.n))
         K, K_inv = self.outer.forward_matrix, self.outer.inverse_matrix
-        self._k, self._k_inv, self._k_t, self._k_inv_t = (
-            M.tolist() for M in (K, K_inv, K.T, K_inv.T)
-        )
+        self._k, self._k_inv, self._k_t, self._k_inv_t = K, K_inv, K.T, K_inv.T
 
     # -- plumbing ---------------------------------------------------------
 
@@ -321,10 +318,13 @@ class FractalOperator:
     def _corners(self, W, M):
         # Elementwise rather than a matmul: BLAS sums a batch in another
         # order than a single grid, which breaks batch/loop bit equality.
+        # One gather, one broadcast multiply, three adds left to right and
+        # one scatter.  The zero entries of M are multiplied and added
+        # too; that changes only non-finite corners (0 * inf is NaN) and
+        # the sign of an exactly zero corner.
         C = W[..., :: self.n - 1, :: self.n - 1]
-        old = [C[..., i, j].copy() for i, j in _CORNERS]
-        for (i, j), row in zip(_CORNERS, M):
-            C[..., i, j] = reduce(add, [m * v for m, v in zip(row, old) if m])
+        T = C[_CORNERS][..., None, :] * M
+        C[_CORNERS] = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3]
 
     def _gather(self, W, inverse):
         # target = alpha0 * target + sum(weight * parents), or its inverse.

@@ -41,7 +41,7 @@ def residual_stats(w_hat, w_true, pupil):
     """
     d = np.asarray(w_hat, dtype=float) - w_true
     # Contiguous rows, so each residual sums in the order of a lone one.
-    e = d.reshape(d.shape[:-2] + (-1,)).take(np.flatnonzero(pupil.sample_mask), axis=-1)
+    e = d.reshape(d.shape[:-2] + (-1,)).take(pupil.sample_index, axis=-1)
     count = e.shape[-1]
     e -= np.add.reduce(e, axis=-1, keepdims=True) / count
     var = np.add.reduce(e * e, axis=-1) / count

@@ -13,6 +13,7 @@ all fall inside the annular pupil contribute measurements.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -31,6 +32,11 @@ class Pupil:
     sample_mask: np.ndarray
     subap_x: np.ndarray
     subap_y: np.ndarray
+
+    @functools.cached_property
+    def sample_index(self) -> np.ndarray:
+        """Flat indices of the ``sample_mask`` samples, row-major."""
+        return np.flatnonzero(self.sample_mask)
 
     @property
     def nsub(self) -> int:

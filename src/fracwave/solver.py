@@ -23,6 +23,7 @@ applications, a one-time cost that is cached on disk.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import logging
@@ -108,15 +109,28 @@ class NormalOperator:
         self.n = fractal.n
         self._cells = sensor.cell_weights(inv_var)
 
-    def apply(self, x, counter=None) -> np.ndarray:
+    def apply(self, x, counter=None, screen=None) -> np.ndarray:
+        """A x.  In u-space, ``screen`` may name a float64 array of x's
+        shape to hold the screen K x that A_u forms on the way: it serves
+        as that working buffer in place of a fresh copy of x, so the
+        caller reads K x there afterwards with no copy and no second map.
+        A x is the same either way.
+        """
         x = np.asanyarray(x, dtype=float)
         if self.space == "w":
+            if screen is not None:
+                raise ValueError("only a u-space operator forms a screen K x")
             out = x.copy()
             self.fractal.apply_inverse(out, counter)
             self.fractal.apply_inverse_transpose(out, counter)
             out += self.sensor.gram(x, self._cells, counter)
         else:
-            screen = x.copy()
+            if screen is None:
+                screen = x.copy()
+            elif screen.shape != x.shape:
+                raise ValueError(f"screen buffer has shape {screen.shape}, expected {x.shape}")
+            else:
+                screen[...] = x
             self.fractal.apply(screen, counter)
             out = self.sensor.gram(screen, self._cells, counter)
             self.fractal.apply_transpose(out, counter)
@@ -296,12 +310,17 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
 
     ``monitor(k, x, rnorm)`` is called after initialisation (k = 0) and
     after every iteration; with batch axes it is called as
-    ``monitor(k, x, rnorm, stepped)``, ``rnorm`` and the boolean mask
-    ``stepped`` (the columns that took iteration k, all at k = 0) having
-    the batch shape.  Returns (x, converged, iterations): ``converged``
-    per column, ``iterations`` the number run, the longest column's.  A
-    nonpositive curvature p . A p in a running column aborts with
-    IndefiniteOperatorError.
+    ``monitor(k, x, rnorm, stepped, alpha)``, ``rnorm``, the boolean mask
+    ``stepped`` (the columns that took iteration k, all at k = 0) and
+    ``alpha`` having the batch shape.  ``alpha`` is each column's step
+    length, x_k = x_{k-1} + alpha * p_k with p_k the direction ``apply_a``
+    was last called on; it is 0 at k = 0 and in the columns that did not
+    step, whose x stays as it was.  So a monitor can carry any linear
+    image of x, such as L x_k = L x_{k-1} + alpha * L p_k, from the L p_k
+    that ``apply_a`` forms.  Returns (x, converged, iterations):
+    ``converged`` per column, ``iterations`` the number run, the longest
+    column's.  A nonpositive curvature p . A p in a running column aborts
+    with IndefiniteOperatorError.
     """
 
     def add(family, count):
@@ -318,11 +337,11 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
     def dot(u, v):
         return np.vecdot(u.reshape(batch + (-1,)), v.reshape(batch + (-1,)))
 
-    def report(k, stepped):
+    def report(k, stepped, alpha):
         if monitor is None:
             return
         if batch_axes:
-            monitor(k, x, rnorm, stepped)
+            monitor(k, x, rnorm, stepped, alpha)
         else:
             monitor(k, x, rnorm)
 
@@ -341,7 +360,7 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
         rnorm = np.sqrt(dot(r, r))
         add("vector", dot_flops)
     live = ~(rnorm <= tol * bnorm)
-    report(0, np.ones(batch, dtype=bool))
+    report(0, np.ones(batch, dtype=bool), np.zeros(batch))
     iterations = 0
     rho_prev = None
     p = None
@@ -369,10 +388,11 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
                 f"nonpositive curvature p.Ap = {np.extract(indefinite, curvature)[0]} "
                 f"at iteration {iterations + 1}"
             )
-        alpha = np.divide(rho, curvature, out=np.zeros(batch), where=live).reshape(expand)
-        x += alpha * p
+        alpha = np.divide(rho, curvature, out=np.zeros(batch), where=live)
+        step = alpha.reshape(expand)
+        x += step * p
         add("vector", 2 * size)
-        r -= alpha * q
+        r -= step * q
         add("vector", 2 * size)
         rho_prev = rho
         iterations += 1
@@ -380,7 +400,7 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
         add("vector", dot_flops)
         stepped = live
         live = stepped & ~(rnorm <= tol * bnorm)
-        report(iterations, stepped)
+        report(iterations, stepped, alpha)
     converged = ~live
     return x, (converged if batch_axes else bool(converged)), iterations
 
@@ -471,6 +491,9 @@ class Reconstructor:
     preconditioner statistics are cached in memory and on disk, keyed by
     the operator coefficients, the pupil and the noise weights.  Each
     file stores its full key and is rebuilt when it does not match.
+    The disk cache lives in ``cache_dir``; None does not turn it off but
+    picks ``$FRACWAVE_CACHE``, or ``~/.cache/fracwave`` when that is
+    unset or empty.
     """
 
     def __init__(self, p: int, r0: float = 1.0, cache_dir=None):
@@ -513,9 +536,9 @@ class Reconstructor:
         key = self._stats_key(space, inv_var)
         if key in self._stats_cache:
             return self._stats_cache[key]
-        path = self.cache_dir / f"diag-{key[:32]}.npz" if self.cache_dir else None
+        path = self.cache_dir / f"diag-{key[:32]}.npz"
         stats = None
-        if path is not None and path.exists():
+        if path.exists():
             try:
                 stats = _read_stats_entry(path, self.n, key)
             except CacheEntryError as exc:
@@ -524,17 +547,16 @@ class Reconstructor:
                 log.debug("preconditioner cache hit %s", path)
         if stats is None:
             stats = operator_diagonal_stats(self.system(inv_var, space))
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
-                os.close(fd)
-                try:
-                    np.savez(tmp, diag=stats[0], rowsq=stats[1], key=np.array(key),
-                             version=np.array(CACHE_FORMAT))
-                    os.replace(tmp, path)
-                finally:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
+            os.close(fd)
+            try:
+                np.savez(tmp, diag=stats[0], rowsq=stats[1], key=np.array(key),
+                         version=np.array(CACHE_FORMAT))
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
         self._stats_cache[key] = stats
         return stats
 
@@ -560,11 +582,17 @@ class Reconstructor:
         The estimate keeps its piston component; piston-blind comparison
         is the metrics' job.  With ``truth`` given, the trace records
         piston-removed residual variance (absolute and normalised by the
-        iteration-0 value) and the Strehl estimate per iteration.  Flops
-        are the counter's growth divided by the stack size: every charged
-        operation runs on every slope set, so this is exact, and a slope
-        set that converged early is charged for the iterations it sat out
-        in ``total_flops`` only.
+        iteration-0 value) and the Strehl estimate per iteration.  In
+        u-space those need the screen K x_k of each iterate; it is carried
+        by linearity, w_0 = 0 and w_k = w_{k-1} + alpha_k K p_k, from the
+        screen K p_k that A_u forms anyway, so a monitored iteration costs
+        the same two maps as an unmonitored one plus one axpy.  That image
+        is diagnostic work and not charged; it agrees with a direct K x_k
+        to roundoff.  The returned estimate is K x applied directly, and
+        charged.  Flops are the counter's growth divided by the stack
+        size: every charged operation runs on every slope set, so this is
+        exact, and a slope set that converged early is charged for the
+        iterations it sat out in ``total_flops`` only.
         """
         single = isinstance(slopes, SlopeSet)
         stack = [slopes] if single else list(slopes)
@@ -599,23 +627,32 @@ class Reconstructor:
             for _ in stack
         ]
         base_var = None
+        apply_a = op.apply
+        image = None
+        if truth is not None and space == "u":
+            # image is w_k = K x_k, 0 for the solve's start at x = 0; kp
+            # receives K p_k from each A_u call.
+            image = np.zeros_like(b)
+            kp = np.zeros_like(b)
+            apply_a = functools.partial(op.apply, screen=kp)
 
         def column_flops():
             return start + (counter.total - start) // columns
 
-        def monitor(k, x, rnorm, stepped):
-            nonlocal base_var
+        def monitor(k, x, rnorm, stepped, alpha):
+            nonlocal base_var, image
             (cols,) = np.nonzero(stepped)
             flops = column_flops()
             var = norm = strehl = np.full(cols.size, math.nan)
             if truth is not None:
-                w_k = x[cols]
-                if space == "u":
-                    self.fractal.apply(w_k)  # diagnostic, not charged
-                _, var = residual_stats(w_k, truth[cols], self.pupil)
+                if image is not None:
+                    image += alpha[:, None, None] * kp  # diagnostic, not charged
+                # The whole stack, frozen columns too, takes no fancy copy;
+                # each row still sums in the order of a lone one.
+                _, var = residual_stats(x if image is None else image, truth, self.pupil)
                 if base_var is None:
                     base_var = var
-                base = base_var[cols]
+                var, base = var[cols], base_var[cols]
                 norm = np.divide(var, base, out=np.full(cols.size, math.nan), where=base > 0)
                 strehl = strehl_ratio(var)
             rows = zip(cols.tolist(), rnorm[cols].tolist(), var.tolist(), norm.tolist(),
@@ -630,7 +667,7 @@ class Reconstructor:
                 trace.strehl.append(strehl_k)
 
         x, converged, _ = pcg_solve(
-            op.apply, b, tol=config.tol, max_iter=config.max_iter,
+            apply_a, b, tol=config.tol, max_iter=config.max_iter,
             preconditioner=precond, counter=counter, monitor=monitor, batch_axes=1,
         )
         if space == "u":

@@ -2,9 +2,10 @@
 
 Below p=7 an operator application costs per numpy call more than per
 sample, so a change that adds calls shows here as a count before it
-shows on a timer.  A multiscale map makes 20 calls in its corner step
-and 30 per refinement pass; the normal operator makes two maps, 7 calls
-for S^T W S on the cell grid and 1 for the sum of its two terms.
+shows on a timer.  A multiscale map makes 4 calls in its corner step
+(one broadcast multiply by the 4 x 4 corner matrix and three adds) and
+30 per refinement pass; the normal operator makes two maps, 7 calls for
+S^T W S on the cell grid and 1 for the sum of its two terms.
 """
 
 import numpy as np
@@ -18,16 +19,16 @@ MAPS = ("apply", "apply_inverse", "apply_transpose", "apply_inverse_transpose")
 
 
 def map_calls(p):
-    return 20 + 30 * p  # 170 at p=5, 230 at p=7
+    return 4 + 30 * p  # 154 at p=5, 214 at p=7
 
 
 def normal_calls(p):
-    return 2 * map_calls(p) + 7 + 1  # 348 at p=5, 468 at p=7
+    return 2 * map_calls(p) + 7 + 1  # 316 at p=5, 436 at p=7
 
 
 @pytest.fixture(scope="module", params=[5, 7])
-def rec(request):
-    return Reconstructor(request.param, cache_dir=None)
+def rec(request, tmp_path_factory):
+    return Reconstructor(request.param, cache_dir=tmp_path_factory.mktemp("cache"))
 
 
 def test_counting_array_counts_derived_arrays():

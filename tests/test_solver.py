@@ -61,10 +61,10 @@ def dense_normal_parts(op, pup, slopes):
 # -- normal operator ---------------------------------------------------------
 
 
-def test_normal_operator_matches_dense_both_spaces():
+def test_normal_operator_matches_dense_both_spaces(tmp_path):
     # Non-uniform weights with exact zeros, p = 1 (no subaperture) to 5.
     for p in range(1, 6):
-        rec = Reconstructor(p, cache_dir=None)
+        rec = Reconstructor(p, cache_dir=tmp_path)
         n, nsub = rec.n, rec.pupil.nsub
         rng = np.random.default_rng(p)
         inv_var = rng.uniform(0.2, 3.0, nsub)
@@ -82,8 +82,8 @@ def test_normal_operator_matches_dense_both_spaces():
 
 
 @pytest.mark.parametrize("space", ["u", "w"])
-def test_normal_operator_stack_matches_each_grid_bit_for_bit(space):
-    rec = Reconstructor(5, cache_dir=None)
+def test_normal_operator_stack_matches_each_grid_bit_for_bit(space, tmp_path):
+    rec = Reconstructor(5, cache_dir=tmp_path)
     rng = np.random.default_rng(11)
     inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
     inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
@@ -96,10 +96,25 @@ def test_normal_operator_stack_matches_each_grid_bit_for_bit(space):
         np.testing.assert_array_equal(A.apply(grid), got)
 
 
+def test_normal_operator_hands_its_screen_to_a_caller_that_asks(tmp_path):
+    rec = Reconstructor(5, cache_dir=tmp_path)
+    rng = np.random.default_rng(12)
+    inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
+    x = rng.standard_normal((3, rec.n, rec.n))
+    A = rec.system(inv_var, "u")
+    screen = np.full_like(x, np.nan)
+    np.testing.assert_array_equal(A.apply(x, screen=screen), A.apply(x))
+    np.testing.assert_array_equal(screen, rec.fractal.apply(x.copy()))
+    with pytest.raises(ValueError, match="shape"):
+        A.apply(x, screen=screen[0])
+    with pytest.raises(ValueError, match="u-space"):
+        rec.system(inv_var, "w").apply(x, screen=screen)
+
+
 @pytest.mark.parametrize("space", ["u", "w"])
 @pytest.mark.parametrize("p", [3, 6])
-def test_normal_operator_charges_each_family_exactly(p, space):
-    rec = Reconstructor(p, cache_dir=None)
+def test_normal_operator_charges_each_family_exactly(p, space, tmp_path):
+    rec = Reconstructor(p, cache_dir=tmp_path)
     n, nsub, edges = rec.n, rec.pupil.nsub, rec.sensor.n_edges
     A = rec.system(np.ones(nsub), space)
     for batch in (1, 4):
@@ -156,8 +171,8 @@ def test_diagonal_stats_match_dense(batch_size):
     [(p, space, None) for p in (2, 3, 4, 5) for space in ("u", "w")]
     + [(4, "u", 7), (6, "u", None)],
 )
-def test_colored_probe_matches_exhaustive(p, space, batch_size):
-    rec = Reconstructor(p, cache_dir=None)
+def test_colored_probe_matches_exhaustive(p, space, batch_size, tmp_path):
+    rec = Reconstructor(p, cache_dir=tmp_path)
     rng = np.random.default_rng(p)
     inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
     inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
@@ -327,8 +342,15 @@ def test_pcg_stack_follows_each_column_alone():
     pre = jacobi_preconditioner(np.ones(size), "w")
     for preconditioner in (None, pre):
         rows = [[] for _ in b]
+        previous = np.zeros_like(b)
 
-        def monitor(k, x, rnorm, stepped):
+        def monitor(k, x, rnorm, stepped, alpha):
+            # A column that did not step has step length 0 and an unmoved x.
+            assert alpha.shape == stepped.shape == (len(b),)
+            assert np.all(alpha[~stepped] == 0.0)
+            np.testing.assert_array_equal(x[~stepped], previous[~stepped])
+            assert np.all(alpha == 0.0) if k == 0 else np.all(alpha[stepped] > 0.0)
+            previous[...] = x
             for j in np.flatnonzero(stepped):
                 rows[j].append((k, float(rnorm[j]), x[j].copy()))
 
@@ -465,6 +487,97 @@ def test_reconstruct_stack_equals_single_solves(system, tmp_path):
         assert counter.total == 3 * traces[0].total_flops
 
 
+def monitored_stack(p, cache_dir):
+    """A Reconstructor and three slope sets that stop at different iterations.
+
+    Column 0 is noise only and runs longest, column 1 has zero slopes and
+    stops at k = 0, column 2 measures the smooth screen of one corner
+    generator and stops early (at tol 1e-2 and 60 iterations, for every
+    u-space method at p = 3..6).
+    """
+    rec = Reconstructor(p, cache_dir=cache_dir)
+    rng = np.random.default_rng(p)
+    n = rec.n
+    corner = np.zeros((n, n))
+    corner[0, 0] = 10.0
+    truths = np.stack([np.zeros((n, n)), rec.fractal.apply(rng.standard_normal((n, n))),
+                       rec.fractal.apply(corner)])
+    stack = [simulate_measurements(w, rec.pupil, 0.5, rng) for w in truths]
+    zero = np.zeros(rec.pupil.nsub)
+    stack[1] = SlopeSet(rec.pupil.subap_x, rec.pupil.subap_y, zero, zero, stack[1].var)
+    return rec, stack, truths
+
+
+@pytest.mark.parametrize("method", ["u-cg", "u-pcg-jac", "u-pcg-opt"])
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_carried_screen_image_matches_direct_map_of_each_iterate(p, method, tmp_path,
+                                                                 monkeypatch):
+    rec, stack, truths = monitored_stack(p, tmp_path)
+    cfg = SolverConfig(method, max_iter=60, tol=1e-2)
+    real_stats = solver.residual_stats
+    images = []
+
+    def recording_stats(w_hat, w_true, pupil):
+        images.append(np.array(w_hat))
+        return real_stats(w_hat, w_true, pupil)
+
+    monkeypatch.setattr(solver, "residual_stats", recording_stats)
+    w_hats, traces = rec.reconstruct(stack, cfg, truth=truths)
+    monkeypatch.undo()
+    stops = [trace.iterations[-1] for trace in traces]
+    assert stops[1] == 0 and 0 < stops[2] < stops[0] and traces[2].converged
+
+    # The iterates x_k of a direct run of the same system.
+    inv_var = 1.0 / stack[0].var
+    op = rec.system(inv_var, "u")
+    precond = None if cfg.preconditioner is None else rec.preconditioner(
+        inv_var, "u", cfg.preconditioner)
+    iterates = []
+    pcg_solve(op.apply, op.rhs(stack), tol=cfg.tol, max_iter=cfg.max_iter,
+              preconditioner=precond, batch_axes=1,
+              monitor=lambda k, x, rnorm, stepped, alpha: iterates.append((x.copy(), stepped)))
+    assert len(images) == len(iterates) == stops[0] + 1
+    for k, (image, (x, stepped)) in enumerate(zip(images, iterates)):
+        # a frozen column's image does not move
+        if k:
+            np.testing.assert_array_equal(image[~stepped], images[k - 1][~stepped])
+        _, direct = real_stats(rec.fractal.apply(x.copy()), truths, rec.pupil)
+        for j in np.flatnonzero(stepped):
+            got = traces[j].resid_var[traces[j].iterations.index(k)]
+            assert got == pytest.approx(direct[j], rel=1e-12, abs=0), (k, j)
+
+    # The estimate is K x applied directly: the monitor leaves its bits alone.
+    blind, _ = rec.reconstruct(stack, cfg)
+    np.testing.assert_array_equal(w_hats, blind)
+    for item, truth, w_hat in zip(stack, truths, w_hats):
+        alone, _ = rec.reconstruct(item, cfg, truth=truth)
+        np.testing.assert_array_equal(alone, w_hat)
+        np.testing.assert_array_equal(rec.reconstruct(item, cfg)[0], w_hat)
+
+
+@pytest.mark.parametrize("method", ["u-cg", "u-pcg-opt"])
+def test_truth_monitor_makes_no_multiscale_map(system, tmp_path, monkeypatch, method):
+    # k iterations of A_u take 2k maps, b_u one K^T and the estimate one K:
+    # 2k + 2 in all, with the truth monitor as without it.
+    _, _, _, _, w_true, slopes = system
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    k = 7
+    cfg = SolverConfig(method, max_iter=k, tol=1e-30)
+    rec.reconstruct(slopes, cfg)  # builds the preconditioner statistics
+    calls = []
+    for name in ("apply", "apply_transpose", "apply_inverse", "apply_inverse_transpose"):
+        def counted(grid, counter=None, _map=getattr(rec.fractal, name), _name=name):
+            calls.append(_name)
+            return _map(grid, counter)
+        monkeypatch.setattr(rec.fractal, name, counted)
+    for truth in (None, w_true):
+        calls.clear()
+        _, trace = rec.reconstruct(slopes, cfg, truth=truth)
+        assert trace.iterations[-1] == k
+        assert len(calls) == 2 * k + 2
+        assert sorted(set(calls)) == ["apply", "apply_transpose"]
+
+
 def test_reconstruct_stack_validation(system, tmp_path):
     _, _, pup, _, w_true, slopes = system
     rec = Reconstructor(P, cache_dir=tmp_path)
@@ -539,6 +652,14 @@ def test_cache_dir_resolution(tmp_path, monkeypatch):
     assert str(rec.cache_dir) == str(tmp_path / "from-env")
     rec = Reconstructor(P, cache_dir=tmp_path / "explicit")
     assert str(rec.cache_dir) == str(tmp_path / "explicit")
+    # None does not turn the disk cache off: without FRACWAVE_CACHE (or
+    # with it empty) it falls back to ~/.cache/fracwave.
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    for unset in (lambda: monkeypatch.delenv("FRACWAVE_CACHE"),
+                  lambda: monkeypatch.setenv("FRACWAVE_CACHE", "")):
+        unset()
+        rec = Reconstructor(P, cache_dir=None)
+        assert rec.cache_dir == tmp_path / "home" / ".cache" / "fracwave"
 
 
 def test_cache_events_are_logged(system, tmp_path, caplog):
