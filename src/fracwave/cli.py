@@ -3,8 +3,8 @@
 Subcommands cover the full loop: ``generate`` a screen, ``sense`` it
 into noisy slopes, ``reconstruct`` a wavefront from slopes, and the
 batch drivers ``simulate`` (Monte-Carlo convergence curves),
-``validate-sf`` (screen statistics) and ``bench`` (operation counts and
-timings).  Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.
+``validate-sf`` (screen statistics) and ``bench`` (operation counts).
+Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,10 @@ def _parse_scales(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        return [int(tok) for tok in text.split(",") if tok]
+        scales = [int(tok) for tok in text.split(",") if tok]
+        if not scales:
+            raise ValueError
+        return scales
     except ValueError:
         raise ValueError(f"cannot parse scale list {text!r}; use e.g. '5:8' or '5,6,7'") from None
 
@@ -142,8 +145,7 @@ def cmd_bench(args) -> int:
     print(f"wrote {args.out}: {len(rows)} rows over p={ps}", file=sys.stderr)
     per_sample: dict[str, list[float]] = {}
     for row in rows:
-        if row.flops:  # the preconditioner build is timed, not counted
-            per_sample.setdefault(row.op, []).append(row.flops / row.samples)
+        per_sample.setdefault(row.op, []).append(row.flops / row.samples)
     print("flops per sample, min..max over p (flat means linear cost):", file=sys.stderr)
     for op, values in per_sample.items():
         print(f"  {op:<26} {min(values):.2f}..{max(values):.2f}", file=sys.stderr)
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--map", default=None, help="optional 2-D map output (grid format)")
     sp.set_defaults(func=cmd_validate_sf)
 
-    sp = sub.add_parser("bench", help="operation counts and timings")
+    sp = sub.add_parser("bench", help="operation counts per operator")
     sp.add_argument("--p", default="5:8", help="scale counts, e.g. '5:8' or '5,6,7' (default 5:8)")
     sp.add_argument("--noise-std", type=float, default=1.0)
     sp.add_argument("--max-iter", type=int, default=10,

@@ -164,12 +164,10 @@ def write_sf_csv(path, radii, measured, expected, meta: dict):
 def write_bench_csv(path, rows, meta: dict):
     fh, writer = _open_csv(path, meta)
     with fh:
-        writer.writerow(["p", "n", "samples", "op", "flops", "flops_per_sample", "seconds"])
+        writer.writerow(["p", "n", "samples", "op", "flops", "flops_per_sample"])
         for row in rows:
-            writer.writerow(
-                [row.p, row.n, row.samples, row.op, row.flops,
-                 _fmt(row.flops / row.samples), _fmt(row.seconds)]
-            )
+            writer.writerow([row.p, row.n, row.samples, row.op, row.flops,
+                             _fmt(row.flops / row.samples)])
 
 
 def ensure_parent(path):

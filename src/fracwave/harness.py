@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
 
 import numpy as np
 
@@ -169,12 +168,11 @@ class BenchRow:
     samples: int
     op: str
     flops: int
-    seconds: float
 
 
 def run_bench(ps, r0: float = 1.0, noise_std: float = 1.0, iterations: int = 10,
               seed: int = 0, method: str = "u-pcg-opt", cache_dir=None) -> list[BenchRow]:
-    """Operation counts and wall time per operator and full reconstruction."""
+    """Operation counts per operator and for a full reconstruction."""
     rows = []
     for p in ps:
         recon = Reconstructor(p, r0, cache_dir=cache_dir)
@@ -190,34 +188,20 @@ def run_bench(ps, r0: float = 1.0, noise_std: float = 1.0, iterations: int = 10,
         ]
         for name, fn in ops:
             counter = FlopCounter()
-            buf = w.copy()
-            t0 = time.perf_counter()
-            fn(buf, counter)
-            rows.append(BenchRow(p, n, samples, name, counter.total, time.perf_counter() - t0))
+            fn(w.copy(), counter)
+            rows.append(BenchRow(p, n, samples, name, counter.total))
         counter = FlopCounter()
-        t0 = time.perf_counter()
         dx, dy = recon.sensor.forward(w, counter)
-        rows.append(BenchRow(p, n, samples, "sensor-forward", counter.total, time.perf_counter() - t0))
+        rows.append(BenchRow(p, n, samples, "sensor-forward", counter.total))
         counter = FlopCounter()
-        t0 = time.perf_counter()
         recon.sensor.adjoint(dx, dy, counter)
-        rows.append(BenchRow(p, n, samples, "sensor-adjoint", counter.total, time.perf_counter() - t0))
+        rows.append(BenchRow(p, n, samples, "sensor-adjoint", counter.total))
 
         slopes = simulate_measurements(w, recon.pupil, noise_std, rng)
-        space, kind = VARIANTS[method]
-        if kind is not None:
-            inv_var = 1.0 / slopes.var
-            t0 = time.perf_counter()
-            recon.preconditioner(inv_var, space, kind)
-            rows.append(
-                BenchRow(p, n, samples, "preconditioner-build", 0, time.perf_counter() - t0)
-            )
         config = SolverConfig(method, max_iter=iterations, tol=1e-30)
         counter = FlopCounter()
-        t0 = time.perf_counter()
         recon.reconstruct(slopes, config, counter=counter)
         rows.append(
-            BenchRow(p, n, samples, f"reconstruction-{iterations}iter", counter.total,
-                     time.perf_counter() - t0)
+            BenchRow(p, n, samples, f"reconstruction-{iterations}iter", counter.total)
         )
     return rows

@@ -42,10 +42,6 @@ class Pupil:
     def nsub(self) -> int:
         return int(self.subap_x.size)
 
-    @property
-    def diameter(self) -> int:
-        return self.n - 1
-
 
 def make_pupil(n: int, obscuration: float = 1.0 / 3.0) -> Pupil:
     """Pupil of outer diameter n - 1 samples with a central obscuration.
@@ -89,10 +85,6 @@ class SlopeSet:
     def nsub(self) -> int:
         return int(self.sx.size)
 
-    @property
-    def n_data(self) -> int:
-        return 2 * self.nsub
-
     def validate(self):
         sizes = {a.size for a in (self.subap_x, self.subap_y, self.sx, self.sy, self.var)}
         if len(sizes) != 1:
@@ -103,6 +95,28 @@ class SlopeSet:
         if np.any(self.var <= 0):
             raise ValueError("noise variances must be positive")
         return self
+
+
+def _spread(total, diff) -> np.ndarray:
+    """The corner scatter that S^T ends with, from (..., m, m) cell grids
+    to (..., m + 1, m + 1) sample grids: ``total`` adds to each cell's ne
+    corner and subtracts from its origin, ``diff`` adds to its e corner
+    and subtracts from its n corner.
+
+    One slice update per corner, in the order ne, e, n, origin; the first
+    sets every sample but row 0 and column 0 instead of adding to zeros,
+    which can change only the sign of an exactly zero sample.  The output
+    keeps the array type of ``total``.
+    """
+    side = total.shape[-1] + 1
+    out = np.empty_like(total, shape=total.shape[:-2] + (side, side))
+    out[..., 1:, 1:] = total
+    out[..., 0, :] = 0.0
+    out[..., 1:, 0] = 0.0
+    out[..., :-1, 1:] += diff
+    out[..., 1:, :-1] -= diff
+    out[..., :-1, :-1] -= total
+    return out
 
 
 class ShackHartmann:
@@ -170,19 +184,13 @@ class ShackHartmann:
         lead = dx.shape[:-1]
         hx = 0.5 * dx
         hy = 0.5 * dy
-        # Half-sums and half-differences on the cell grid, then one slice
-        # update per corner, in the order ne, e, n, origin.
+        # Half-sums and half-differences on the cell grid, spread onto the
+        # corners of each cell.
         cells = np.zeros(lead + (2, (n - 1) * (n - 1)))
         cells[..., 0, self._cell] = hx + hy
         cells[..., 1, self._cell] = hx - hy
         cells = cells.reshape(lead + (2, n - 1, n - 1))
-        total = cells[..., 0, :, :]
-        diff = cells[..., 1, :, :]
-        out = np.zeros(lead + (n, n))
-        out[..., 1:, 1:] += total
-        out[..., :-1, 1:] += diff
-        out[..., 1:, :-1] -= diff
-        out[..., :-1, :-1] -= total
+        out = _spread(cells[..., 0, :, :], cells[..., 1, :, :])
         if counter is not None:
             batch = out.size // (n * n) if out.size else 1
             counter.add("sensor", batch * self._flops)
@@ -205,15 +213,7 @@ class ShackHartmann:
         total *= cells
         diff = w[..., :-1, 1:] - w[..., 1:, :-1]
         diff *= cells
-        # One slice update per corner, in the order ne, e, n, origin; the
-        # first sets every sample but row 0 and column 0.
-        out = np.empty_like(w)
-        out[..., 1:, 1:] = total
-        out[..., 0, :] = 0.0
-        out[..., 1:, 0] = 0.0
-        out[..., :-1, 1:] += diff
-        out[..., 1:, :-1] -= diff
-        out[..., :-1, :-1] -= total
+        out = _spread(total, diff)
         if counter is not None:
             batch = w.size // (n * n)
             counter.add("sensor", 2 * batch * self._flops)

@@ -140,12 +140,9 @@ class NormalOperator:
         return out
 
     def rhs(self, slopes, counter=None) -> np.ndarray:
-        """Right-hand side b for one SlopeSet, or a stack for a sequence of them."""
-        if isinstance(slopes, SlopeSet):
-            sx, sy = slopes.sx, slopes.sy
-        else:
-            sx = np.array([item.sx for item in slopes])
-            sy = np.array([item.sy for item in slopes])
+        """Stack of right-hand sides b, one per slope set of a sequence."""
+        sx = np.array([item.sx for item in slopes])
+        sy = np.array([item.sy for item in slopes])
         dx = sx * self.inv_var
         dy = sy * self.inv_var
         if counter is not None:
@@ -295,29 +292,29 @@ def optimal_diagonal_preconditioner(diag, rowsq, space: str) -> DiagonalPrecondi
     return DiagonalPreconditioner(values=diag / rowsq, kind="optimal", space=space)
 
 
-def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
+def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30,
               preconditioner: DiagonalPreconditioner | None = None,
-              counter: FlopCounter | None = None, monitor=None, batch_axes: int = 0):
+              counter: FlopCounter | None = None, monitor=None):
     """Preconditioned conjugate gradients for an SPD matrix-free operator.
 
-    The first ``batch_axes`` axes of ``b`` index independent systems
-    (columns); the default 0 solves one system over the whole array.
-    Each column runs its own CG recurrence, not block CG: a column stops
-    when ||r|| <= tol * ||b|| or when r . z is exactly zero, and its x and
-    r then stay frozen while the others go on, so it follows exactly the
-    iterates of a solve on its own.  Every column is charged for every
-    operation, frozen ones included.
+    Axis 0 of ``b`` indexes independent systems (columns); a lone system
+    is a stack of one, and a ``b`` of fewer than two axes raises
+    ValueError.  Each column runs its own CG recurrence, not block
+    CG: a column stops when ||r|| <= tol * ||b|| or when r . z is exactly
+    zero, and its x and r then stay frozen while the others go on, so it
+    follows exactly the iterates of a solve on its own.  Every column is
+    charged for every operation, frozen ones included.  The solve starts
+    from x = 0.
 
-    ``monitor(k, x, rnorm)`` is called after initialisation (k = 0) and
-    after every iteration; with batch axes it is called as
-    ``monitor(k, x, rnorm, stepped, alpha)``, ``rnorm``, the boolean mask
-    ``stepped`` (the columns that took iteration k, all at k = 0) and
-    ``alpha`` having the batch shape.  ``alpha`` is each column's step
-    length, x_k = x_{k-1} + alpha * p_k with p_k the direction ``apply_a``
-    was last called on; it is 0 at k = 0 and in the columns that did not
-    step, whose x stays as it was.  So a monitor can carry any linear
-    image of x, such as L x_k = L x_{k-1} + alpha * L p_k, from the L p_k
-    that ``apply_a`` forms.  Returns (x, converged, iterations):
+    ``monitor(k, x, rnorm, stepped, alpha)`` is called after
+    initialisation (k = 0) and after every iteration, with ``rnorm``, the
+    boolean mask ``stepped`` (the columns that took iteration k, all at
+    k = 0) and ``alpha`` of shape (columns,).  ``alpha`` is each column's
+    step length, x_k = x_{k-1} + alpha * p_k with p_k the direction
+    ``apply_a`` was last called on; it is 0 at k = 0 and in the columns
+    that did not step, whose x stays as it was.  So a monitor can carry
+    any linear image of x, such as L x_k = L x_{k-1} + alpha * L p_k, from
+    the L p_k that ``apply_a`` forms.  Returns (x, converged, iterations):
     ``converged`` per column, ``iterations`` the number run, the longest
     column's.  A nonpositive curvature p . A p in a running column aborts
     with IndefiniteOperatorError.
@@ -328,39 +325,24 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
             counter.add(family, count)
 
     b = np.asarray(b, dtype=float)
-    batch = b.shape[:batch_axes]
-    columns = math.prod(batch)
+    if b.ndim < 2:
+        raise ValueError(f"need a stack of right-hand sides (columns, ...), got shape {b.shape}")
+    columns = b.shape[0]
     size = b.size
     dot_flops = 2 * size - columns  # 2N - 1 per column
-    expand = batch + (1,) * (b.ndim - batch_axes)
+    expand = (columns,) + (1,) * (b.ndim - 1)
 
     def dot(u, v):
-        return np.vecdot(u.reshape(batch + (-1,)), v.reshape(batch + (-1,)))
+        return np.vecdot(u.reshape(columns, -1), v.reshape(columns, -1))
 
-    def report(k, stepped, alpha):
-        if monitor is None:
-            return
-        if batch_axes:
-            monitor(k, x, rnorm, stepped, alpha)
-        else:
-            monitor(k, x, rnorm)
-
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-        bnorm = np.sqrt(dot(b, b))
-        add("vector", dot_flops)
-        rnorm = bnorm
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - apply_a(x, counter)
-        add("vector", size)
-        bnorm = np.sqrt(dot(b, b))
-        add("vector", dot_flops)
-        rnorm = np.sqrt(dot(r, r))
-        add("vector", dot_flops)
+    x = np.zeros_like(b)
+    r = b.copy()
+    bnorm = np.sqrt(dot(b, b))
+    add("vector", dot_flops)
+    rnorm = bnorm
     live = ~(rnorm <= tol * bnorm)
-    report(0, np.ones(batch, dtype=bool), np.zeros(batch))
+    if monitor is not None:
+        monitor(0, x, rnorm, np.ones(columns, dtype=bool), np.zeros(columns))
     iterations = 0
     rho_prev = None
     p = None
@@ -376,7 +358,7 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
             p = z.copy()
         else:
             # Stopped columns restart from z, so p stays finite there.
-            beta = np.divide(rho, rho_prev, out=np.zeros(batch), where=live)
+            beta = np.divide(rho, rho_prev, out=np.zeros(columns), where=live)
             p = z + beta.reshape(expand) * p
             add("vector", 2 * size)
         q = apply_a(p, counter)
@@ -388,7 +370,7 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
                 f"nonpositive curvature p.Ap = {np.extract(indefinite, curvature)[0]} "
                 f"at iteration {iterations + 1}"
             )
-        alpha = np.divide(rho, curvature, out=np.zeros(batch), where=live)
+        alpha = np.divide(rho, curvature, out=np.zeros(columns), where=live)
         step = alpha.reshape(expand)
         x += step * p
         add("vector", 2 * size)
@@ -400,9 +382,9 @@ def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30, x0=None,
         add("vector", dot_flops)
         stepped = live
         live = stepped & ~(rnorm <= tol * bnorm)
-        report(iterations, stepped, alpha)
-    converged = ~live
-    return x, (converged if batch_axes else bool(converged)), iterations
+        if monitor is not None:
+            monitor(iterations, x, rnorm, stepped, alpha)
+    return x, ~live, iterations
 
 
 @dataclasses.dataclass
@@ -668,7 +650,7 @@ class Reconstructor:
 
         x, converged, _ = pcg_solve(
             apply_a, b, tol=config.tol, max_iter=config.max_iter,
-            preconditioner=precond, counter=counter, monitor=monitor, batch_axes=1,
+            preconditioner=precond, counter=counter, monitor=monitor,
         )
         if space == "u":
             w_hat = x.copy()

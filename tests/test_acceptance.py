@@ -284,7 +284,7 @@ def test_criterion_7_flop_model():
             pre = DiagonalPreconditioner(np.ones((n, n)), kind="optimal", space="u")
 
             counter = FlopCounter()
-            b = A.rhs(slopes, counter=counter)
+            b = A.rhs([slopes], counter=counter)
             marks = {}
             x, _, iters = pcg_solve(
                 A.apply,
@@ -293,7 +293,7 @@ def test_criterion_7_flop_model():
                 max_iter=10,
                 preconditioner=pre,
                 counter=counter,
-                monitor=lambda k, xk, rnorm: marks.__setitem__(k, counter.total),
+                monitor=lambda k, xk, rnorm, stepped, alpha: marks.__setitem__(k, counter.total),
             )
             assert iters == 10
             per_iteration = (marks[10] - marks[1]) / 9.0 / size

@@ -171,10 +171,17 @@ def test_bench_writes_rows(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--p", "2:3", "--max-iter", "2", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    assert lines[1] == "p,n,samples,op,flops,flops_per_sample,seconds"
+    assert lines[1] == "p,n,samples,op,flops,flops_per_sample"
     assert len(lines) > 2
     # 6 - 14/N flops per sample at N = 25 and 81
     assert "  fractal-forward            5.44..5.83" in capsys.readouterr().err.splitlines()
+
+
+def test_bench_rejects_an_empty_scale_list(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--p", ",", "--out", str(out)]) == 2
+    assert "cannot parse scale list ','" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_failures_exit_2(tmp_path):

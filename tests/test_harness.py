@@ -208,12 +208,10 @@ def test_bench_rows(tmp_path):
         "fractal-inverse-transpose",
         "sensor-forward",
         "sensor-adjoint",
-        "preconditioner-build",
         "reconstruction-2iter",
     ]
     for row in rows:
         assert row.p == 3 and row.n == 9 and row.samples == 81
-        assert row.seconds >= 0.0
         if row.op.startswith("fractal"):
             assert row.flops == 6 * 81 - 14
         if row.op.startswith("sensor"):

@@ -175,13 +175,13 @@ def test_sf_csv_layout(tmp_path):
 
 def test_bench_csv_layout(tmp_path):
     rows = [
-        BenchRow(p=3, n=9, samples=81, op="fractal-forward", flops=472, seconds=1e-4),
-        BenchRow(p=3, n=9, samples=81, op="sensor-forward", flops=100, seconds=2e-5),
+        BenchRow(p=3, n=9, samples=81, op="fractal-forward", flops=472),
+        BenchRow(p=3, n=9, samples=81, op="sensor-forward", flops=100),
     ]
     path = tmp_path / "bench.csv"
     write_bench_csv(path, rows, {"seed": 0})
     lines = path.read_text().splitlines()
-    assert lines[1] == "p,n,samples,op,flops,flops_per_sample,seconds"
+    assert lines[1] == "p,n,samples,op,flops,flops_per_sample"
     assert lines[2].startswith("3,9,81,fractal-forward,472,")
     assert len(lines) == 4
 

@@ -142,7 +142,7 @@ def test_rhs_matches_dense(system):
     inv_var = 1.0 / slopes.var
     for space, ref in (("w", b_w), ("u", b_u)):
         A = NormalOperator(op, sh, inv_var, space)
-        got = A.rhs(slopes)
+        got = A.rhs([slopes])
         np.testing.assert_allclose(got.ravel(), ref, rtol=0, atol=1e-11 * np.abs(ref).max())
 
 
@@ -254,14 +254,21 @@ def random_spd(size, seed):
     return root @ root.T + size * np.eye(size)
 
 
+def rowwise(m):
+    """apply_a of m on each row of a stack, one matvec per row."""
+    def apply(v, counter=None):
+        return np.stack([m @ row for row in v])
+    return apply
+
+
 def test_pcg_matches_direct_solve():
     m = random_spd(40, seed=1)
     b = np.random.default_rng(2).normal(size=40)
     x_ref = np.linalg.solve(m, b)
-    x, converged, iters = pcg_solve(lambda v, c=None: m @ v, b, tol=1e-12, max_iter=200)
+    x, converged, iters = pcg_solve(rowwise(m), b[None], tol=1e-12, max_iter=200)
     assert converged
     assert iters <= 200
-    np.testing.assert_allclose(x, x_ref, rtol=1e-8)
+    np.testing.assert_allclose(x[0], x_ref, rtol=1e-8)
 
 
 def test_pcg_preconditioned_still_correct():
@@ -269,37 +276,36 @@ def test_pcg_preconditioned_still_correct():
     b = np.random.default_rng(4).normal(size=40)
     pre = jacobi_preconditioner(np.diag(m), "w")
     x, converged, _ = pcg_solve(
-        lambda v, c=None: m @ v, b, tol=1e-12, max_iter=200, preconditioner=pre
+        rowwise(m), b[None], tol=1e-12, max_iter=200, preconditioner=pre
     )
     assert converged
-    np.testing.assert_allclose(x, np.linalg.solve(m, b), rtol=1e-8)
+    np.testing.assert_allclose(x[0], np.linalg.solve(m, b), rtol=1e-8)
 
 
-def test_pcg_monitor_sequence_and_trivial_start():
+def test_pcg_monitor_sequence():
     m = random_spd(12, seed=5)
     b = np.random.default_rng(6).normal(size=12)
     seen = []
     x, converged, iters = pcg_solve(
-        lambda v, c=None: m @ v,
-        b,
+        rowwise(m),
+        b[None],
         tol=1e-10,
         max_iter=50,
-        monitor=lambda k, xk, rnorm: seen.append((k, float(rnorm))),
+        monitor=lambda k, xk, rnorm, stepped, alpha: seen.append((k, float(rnorm[0]))),
     )
     assert converged
     assert [k for k, _ in seen] == list(range(iters + 1))
     assert seen[-1][1] <= 1e-10 * np.linalg.norm(b)
 
-    # starting at the solution means zero residual and no iterations
-    seen.clear()
-    x, converged, iters = pcg_solve(
-        lambda v, c=None: m @ v, b, tol=1e-10, max_iter=50, x0=np.linalg.solve(m, b)
-    )
-    assert converged and iters == 0
+
+def test_pcg_rejects_a_lone_vector():
+    # a 1-D b would otherwise solve each element as a column of its own
+    with pytest.raises(ValueError, match="stack"):
+        pcg_solve(lambda v, c=None: v, np.ones(5), tol=1e-12, max_iter=10)
 
 
 def test_pcg_rejects_indefinite_operator():
-    b = np.ones(5)
+    b = np.ones((1, 5))
     with pytest.raises(IndefiniteOperatorError, match="curvature"):
         pcg_solve(lambda v, c=None: -v, b, tol=1e-12, max_iter=10)
 
@@ -313,24 +319,17 @@ def test_pcg_flop_accounting_exact():
     b = np.random.default_rng(8).normal(size=size)
 
     counter = FlopCounter()
-    pcg_solve(lambda v, c=None: m @ v, b, tol=1e-30, max_iter=3, counter=counter)
+    pcg_solve(rowwise(m), b[None], tol=1e-30, max_iter=3, counter=counter)
     expected = (2 * size - 1) + (10 * size - 3) + 2 * (12 * size - 3)
     assert counter.tallies() == {"vector": expected}
 
     counter = FlopCounter()
     pre = DiagonalPreconditioner(np.ones(size), kind="jacobi", space="w")
     pcg_solve(
-        lambda v, c=None: m @ v, b, tol=1e-30, max_iter=3, counter=counter, preconditioner=pre
+        rowwise(m), b[None], tol=1e-30, max_iter=3, counter=counter, preconditioner=pre
     )
     assert counter.total == expected + 3 * size
     assert counter.tallies()["precond"] == 3 * size
-
-
-def rowwise(m):
-    """apply_a of m on one vector or on each row of a stack, one matvec per row."""
-    def apply(v, counter=None):
-        return m @ v if v.ndim == 1 else np.stack([m @ row for row in v])
-    return apply
 
 
 def test_pcg_stack_follows_each_column_alone():
@@ -355,16 +354,16 @@ def test_pcg_stack_follows_each_column_alone():
                 rows[j].append((k, float(rnorm[j]), x[j].copy()))
 
         x, converged, iters = pcg_solve(rowwise(m), b, tol=1e-8, max_iter=60,
-                                        preconditioner=preconditioner, monitor=monitor,
-                                        batch_axes=1)
+                                        preconditioner=preconditioner, monitor=monitor)
         alone_iters = []
         for j, col in enumerate(b):
             seen = []
-            xj, cj, ij = pcg_solve(rowwise(m), col, tol=1e-8, max_iter=60,
+            xj, cj, ij = pcg_solve(rowwise(m), col[None], tol=1e-8, max_iter=60,
                                    preconditioner=preconditioner,
-                                   monitor=lambda k, xk, rn: seen.append((k, float(rn), xk.copy())))
-            np.testing.assert_array_equal(x[j], xj)
-            assert converged[j] == cj
+                                   monitor=lambda k, xk, rn, st, al: seen.append(
+                                       (k, float(rn[0]), xk[0].copy())))
+            np.testing.assert_array_equal(x[j], xj[0])
+            assert converged[j] == cj[0]
             assert [(k, rn) for k, rn, _ in rows[j]] == [(k, rn) for k, rn, _ in seen]
             for (_, _, got), (_, _, want) in zip(rows[j], seen):
                 np.testing.assert_array_equal(got, want)
@@ -381,11 +380,11 @@ def test_pcg_stack_raises_only_for_a_running_indefinite_column():
         return signs * v
 
     with pytest.raises(IndefiniteOperatorError, match="curvature"):
-        pcg_solve(apply, np.ones((2, 5)), tol=1e-12, max_iter=10, batch_axes=1)
+        pcg_solve(apply, np.ones((2, 5)), tol=1e-12, max_iter=10)
     # the negative column has a zero right-hand side, so it never runs
     b = np.ones((2, 5))
     b[1] = 0.0
-    x, converged, iters = pcg_solve(apply, b, tol=1e-12, max_iter=10, batch_axes=1)
+    x, converged, iters = pcg_solve(apply, b, tol=1e-12, max_iter=10)
     assert converged.tolist() == [True, True] and iters == 1
     np.testing.assert_array_equal(x, b)
 
@@ -398,13 +397,12 @@ def test_pcg_stack_flops_are_per_column_tallies_times_stack_size():
     single = (2 * size - 1) + (10 * size - 3) + 2 * (12 * size - 3)
 
     counter = FlopCounter()
-    pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter, batch_axes=1)
+    pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter)
     assert counter.tallies() == {"vector": stack * single}
 
     counter = FlopCounter()
     pre = DiagonalPreconditioner(np.ones(size), kind="jacobi", space="w")
-    pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter, preconditioner=pre,
-              batch_axes=1)
+    pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter, preconditioner=pre)
     assert counter.total == stack * (single + 3 * size)
     assert counter.tallies()["precond"] == stack * 3 * size
 
@@ -534,7 +532,7 @@ def test_carried_screen_image_matches_direct_map_of_each_iterate(p, method, tmp_
         inv_var, "u", cfg.preconditioner)
     iterates = []
     pcg_solve(op.apply, op.rhs(stack), tol=cfg.tol, max_iter=cfg.max_iter,
-              preconditioner=precond, batch_axes=1,
+              preconditioner=precond,
               monitor=lambda k, x, rnorm, stepped, alpha: iterates.append((x.copy(), stepped)))
     assert len(images) == len(iterates) == stops[0] + 1
     for k, (image, (x, stepped)) in enumerate(zip(images, iterates)):
