@@ -23,7 +23,6 @@ from .solver import (VARIANTS, ConvergenceTrace, DiagonalPreconditioner,
                      SolverConfig, jacobi_preconditioner,
                      operator_diagonal_stats,
                      optimal_diagonal_preconditioner, pcg_solve)
-from .turbulence import (KOLMOGOROV_SCALE, KolmogorovStructureFunction,
-                         StructureFunction, kolmogorov)
+from .turbulence import KOLMOGOROV_SCALE, KolmogorovStructureFunction, kolmogorov
 
 __version__ = "0.1.0"

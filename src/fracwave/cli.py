@@ -119,6 +119,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate_sf(args) -> int:
+    if args.p < 2:
+        raise ValueError(f"validate-sf needs p >= 2 to report radii 2 and up, got {args.p}")
     fileio.ensure_parent(args.out)
     result = run_sf_validation(args.p, args.r0, args.trials, args.seed)
     meta = {"cmd": "validate-sf", "p": args.p, "r0": args.r0,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 
@@ -51,8 +52,8 @@ class ExperimentSpec:
             raise ValueError(f"p must be at least 1, got {self.p}")
         if self.r0 <= 0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not self.methods:
@@ -97,14 +98,6 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None, progress=None) -> Simul
     ``progress(done, total)`` is called once per trial, in trial order.
     """
     recon = Reconstructor(spec.p, spec.r0, cache_dir=cache_dir)
-    nsub = recon.pupil.nsub
-    var_value = spec.noise_std**2 if spec.noise_std > 0 else 1.0
-    inv_var = np.full(nsub, 1.0 / var_value)
-    for method in spec.methods:
-        space, kind = VARIANTS[method]
-        if kind is not None:
-            recon.preconditioner(inv_var, space, kind)
-
     rows = spec.max_iter + 1
     flops = {m: np.zeros((spec.trials, rows)) for m in spec.methods}
     var = {m: np.zeros((spec.trials, rows)) for m in spec.methods}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -98,10 +99,10 @@ class SlopeSet:
 
 
 def _spread(total, diff) -> np.ndarray:
-    """The corner scatter that S^T ends with, from (..., m, m) cell grids
-    to (..., m + 1, m + 1) sample grids: ``total`` adds to each cell's ne
-    corner and subtracts from its origin, ``diff`` adds to its e corner
-    and subtracts from its n corner.
+    """D^T, the corner scatter that S^T ends with, from (..., m, m) cell
+    grids to (..., m + 1, m + 1) sample grids: ``total`` adds to each
+    cell's ne corner and subtracts from its origin, ``diff`` adds to its e
+    corner and subtracts from its n corner.
 
     One slice update per corner, in the order ne, e, n, origin; the first
     sets every sample but row 0 and column 0 instead of adding to zeros,
@@ -122,103 +123,91 @@ def _spread(total, diff) -> np.ndarray:
 class ShackHartmann:
     """Slope extraction over a pupil, its adjoint and S^T W S, batch friendly.
 
+    S = 1/2 R P D, every factor on the (n - 1)-side cell grid.  Per cell,
+    with corners w00, we, wn, wne:
+
+    - D (``_differences``) forms total = wne - w00 and diff = we - wn;
+    - P (one ``take`` at ``_cell``) keeps the cells of valid subapertures;
+    - R turns (total, diff) into (total + diff, total - diff), so that
+      dx = (total + diff) / 2 and dy = (total - diff) / 2.
+
+    S^T = D^T P^T R^T / 2 with P^T = ``_place``, a write onto a zero cell
+    grid, and D^T = ``_spread``.  ``gram`` applies S^T W S as D^T M D, M
+    being the weights of ``cell_weights``: half of each inverse variance
+    on its cell, as R^T R = 2 I.  Cells outside the pupil carry weight 0
+    and do arithmetic that the flop charge does not count: 65,536 cells
+    against 45,028 subapertures at p=8.
+
     The flop charge per application of S or S^T is 2 * edges + 2 * nsub:
     vertical cell-edge sums and differences are shared between the two
-    slope components and between adjacent subapertures, matching the
-    factored evaluation below.
-
-    ``gram`` applies S^T W S as one stencil on the (n - 1)-side cell grid.
-    Per subaperture, with corners w00, we, wn, wne,
-
-        dx + dy = wne - w00,        dx - dy = we - wn,
-
-    so the weighted half-sum and half-difference of the two slopes, the
-    values that S^T scatters onto the four corners, need one difference
-    each.  It is charged as ``forward``, the weighting of both slopes and
-    ``adjoint`` in turn.  Cells outside the pupil carry weight 0 and do
-    arithmetic that this charge does not count: 65,536 cells against
-    45,028 subapertures at p=8.
+    slope components and between adjacent subapertures.  ``gram`` is
+    charged as ``forward``, the weighting of both slopes and ``adjoint``
+    in turn.
     """
 
     def __init__(self, pupil: Pupil):
         self.pupil = pupil
-        n = pupil.n
-        sx, sy = pupil.subap_x, pupil.subap_y
-        self._i00 = sy * n + sx
-        self._ie = sy * n + sx + 1
-        self._in = (sy + 1) * n + sx
-        self._ine = (sy + 1) * n + sx + 1
-        self._cell = sy * (n - 1) + sx  # flat index on the (n - 1)-side cell grid
+        self._cell = pupil.subap_y * (pupil.n - 1) + pupil.subap_x
         # Each subaperture has a left and a right vertical edge; a
         # horizontally adjacent pair shares one.
-        occupied = np.zeros(n * n, dtype=bool)
-        occupied[self._i00] = True
-        self.n_edges = 2 * pupil.nsub - int(np.count_nonzero(occupied[self._ie]))
+        valid = self._place(np.ones(pupil.nsub)) > 0
+        self.n_edges = 2 * pupil.nsub - int(np.count_nonzero(valid[:, :-1] & valid[:, 1:]))
         self._flops = 2 * self.n_edges + 2 * pupil.nsub
 
-    def _flat(self, w) -> np.ndarray:
+    def _differences(self, w):
+        """D: (total, diff) on the (..., n - 1, n - 1) cell grid of (..., n, n) wavefronts."""
         n = self.pupil.n
         if w.shape[-2:] != (n, n):
             raise ValueError(f"wavefront side must be {n}, got {w.shape[-2:]}")
-        return w.reshape(w.shape[:-2] + (n * n,))
+        return w[..., 1:, 1:] - w[..., :-1, :-1], w[..., :-1, 1:] - w[..., 1:, :-1]
+
+    def _place(self, values) -> np.ndarray:
+        """P^T: per-subaperture values (..., nsub) onto a zero (..., n - 1, n - 1) cell grid."""
+        m = self.pupil.n - 1
+        lead = values.shape[:-1]
+        cells = np.zeros(lead + (m * m,))
+        cells[..., self._cell] = values
+        return cells.reshape(lead + (m, m))
+
+    def _charge(self, counter, lead, weighted=False):
+        """Charge one S or S^T per grid of a ``lead`` stack, or with ``weighted``
+        one S^T W S: S, the weighting of both slopes and S^T."""
+        if counter is None:
+            return
+        grids = math.prod(lead)
+        if weighted:
+            counter.add("sensor", 2 * grids * self._flops)
+            counter.add("noise", 2 * grids * self.pupil.nsub)
+        else:
+            counter.add("sensor", grids * self._flops)
 
     def forward(self, w, counter=None):
         """Slopes (dx, dy) of shape (..., nsub) for wavefront (..., n, n)."""
-        W = self._flat(np.asarray(w, dtype=float))
-        w00 = W.take(self._i00, axis=-1)
-        we = W.take(self._ie, axis=-1)
-        wn = W.take(self._in, axis=-1)
-        wne = W.take(self._ine, axis=-1)
-        dx = 0.5 * (wne + we - wn - w00)
-        dy = 0.5 * (wne - we + wn - w00)
-        if counter is not None:
-            batch = W.size // W.shape[-1] if W.size else 1
-            counter.add("sensor", batch * self._flops)
-        return dx, dy
+        total, diff = self._differences(np.asarray(w, dtype=float))
+        lead, m = total.shape[:-2], self.pupil.n - 1
+        total, diff = (c.reshape(lead + (m * m,)).take(self._cell, axis=-1) for c in (total, diff))
+        self._charge(counter, lead)
+        return 0.5 * (total + diff), 0.5 * (total - diff)
 
     def adjoint(self, dx, dy, counter=None) -> np.ndarray:
         """Scatter slopes back onto a wavefront grid (the transpose map)."""
-        dx = np.asarray(dx, dtype=float)
-        dy = np.asarray(dy, dtype=float)
-        n = self.pupil.n
-        lead = dx.shape[:-1]
-        hx = 0.5 * dx
-        hy = 0.5 * dy
-        # Half-sums and half-differences on the cell grid, spread onto the
-        # corners of each cell.
-        cells = np.zeros(lead + (2, (n - 1) * (n - 1)))
-        cells[..., 0, self._cell] = hx + hy
-        cells[..., 1, self._cell] = hx - hy
-        cells = cells.reshape(lead + (2, n - 1, n - 1))
-        out = _spread(cells[..., 0, :, :], cells[..., 1, :, :])
-        if counter is not None:
-            batch = out.size // (n * n) if out.size else 1
-            counter.add("sensor", batch * self._flops)
-        return out
+        hx = 0.5 * np.asarray(dx, dtype=float)
+        hy = 0.5 * np.asarray(dy, dtype=float)
+        self._charge(counter, hx.shape[:-1])
+        return _spread(self._place(hx + hy), self._place(hx - hy))
 
     def cell_weights(self, inv_var) -> np.ndarray:
         """Weights of ``gram``: half of each subaperture's inverse variance on
         its cell of the (n - 1)-side cell grid, 0 on every other cell."""
-        n = self.pupil.n
-        cells = np.zeros((n - 1) * (n - 1))
-        cells[self._cell] = 0.5 * np.asarray(inv_var, dtype=float)
-        return cells.reshape(n - 1, n - 1)
+        return self._place(0.5 * np.asarray(inv_var, dtype=float))
 
     def gram(self, w, cells, counter=None) -> np.ndarray:
         """S^T W S w for wavefronts (..., n, n), W given as ``cell_weights``."""
-        n = self.pupil.n
-        if w.shape[-2:] != (n, n):
-            raise ValueError(f"wavefront side must be {n}, got {w.shape[-2:]}")
-        total = w[..., 1:, 1:] - w[..., :-1, :-1]
+        total, diff = self._differences(w)
         total *= cells
-        diff = w[..., :-1, 1:] - w[..., 1:, :-1]
         diff *= cells
-        out = _spread(total, diff)
-        if counter is not None:
-            batch = w.size // (n * n)
-            counter.add("sensor", 2 * batch * self._flops)
-            counter.add("noise", 2 * batch * self.pupil.nsub)
-        return out
+        self._charge(counter, w.shape[:-2], weighted=True)
+        return _spread(total, diff)
 
 
 def simulate_measurements(w_true, pupil: Pupil, noise_std: float, rng) -> SlopeSet:
@@ -227,8 +216,8 @@ def simulate_measurements(w_true, pupil: Pupil, noise_std: float, rng) -> SlopeS
     With noise_std = 0 the data are exact and the variance column falls
     back to 1.0 so that inverse-variance weighting stays finite.
     """
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
     rng = np.random.default_rng(rng)
     shs = ShackHartmann(pupil)
     dx, dy = shs.forward(np.asarray(w_true, dtype=float))

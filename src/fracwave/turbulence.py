@@ -22,26 +22,8 @@ import numpy as np
 KOLMOGOROV_SCALE = 6.88
 
 
-class StructureFunction:
-    """Base for isotropic structure functions with a stationary variance.
-
-    Concrete laws provide ``evaluate``; ``covariance`` follows from the
-    stationarity assumption.  Swapping in a different law (for example a
-    finite outer-scale model) only changes construction, nothing else.
-    """
-
-    variance: float
-
-    def evaluate(self, r):
-        raise NotImplementedError
-
-    def covariance(self, r):
-        """Phase covariance  sigma^2 - f(r) / 2  at separation r."""
-        return self.variance - 0.5 * self.evaluate(r)
-
-
 @dataclasses.dataclass(frozen=True)
-class KolmogorovStructureFunction(StructureFunction):
+class KolmogorovStructureFunction:
     """f(r) = 6.88 (r / r0)^(5/3) with Fried parameter r0 in grid steps."""
 
     r0: float
@@ -61,6 +43,10 @@ class KolmogorovStructureFunction(StructureFunction):
             raise ValueError("separation must be nonnegative")
         out = KOLMOGOROV_SCALE * (r / self.r0) ** (5.0 / 3.0)
         return float(out) if out.ndim == 0 else out
+
+    def covariance(self, r):
+        """Phase covariance  sigma^2 - f(r) / 2  at separation r."""
+        return self.variance - 0.5 * self.evaluate(r)
 
 
 def kolmogorov(r0: float, extent: float) -> KolmogorovStructureFunction:

@@ -167,6 +167,27 @@ def test_validate_sf_writes_profile_and_map(tmp_path):
     assert read_grid(map_path).shape == (17, 17)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_noise_std_exits_2_without_output(pipeline, capsys, value):
+    tmp_path, screen, _ = pipeline
+    out = tmp_path / "noisy.csv"
+    assert main(["sense", str(screen), "--noise-std", value, "--out", str(out)]) == 2
+    assert "noise_std must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    curves = tmp_path / "curves.csv"
+    argv = ["simulate", "--p", "3", "--trials", "1", "--noise-std", value, "--out", str(curves)]
+    assert main(argv) == 2
+    assert "noise_std must be finite" in capsys.readouterr().err
+    assert not curves.exists()
+
+
+def test_validate_sf_below_two_passes_exits_2_without_output(tmp_path, capsys):
+    out = tmp_path / "sf.csv"
+    assert main(["validate-sf", "--p", "1", "--trials", "2", "--out", str(out)]) == 2
+    assert "p >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_writes_rows(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--p", "2:3", "--max-iter", "2", "--out", str(out)]) == 0

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fracwave import harness
+from fracwave import harness, solver
 from fracwave.fractal import FractalOperator
 from fracwave.harness import (
     ExperimentSpec,
@@ -182,6 +182,28 @@ def test_experiment_spec_validation():
         ExperimentSpec(p=3, methods=("newton",))
     with pytest.raises(ValueError, match="noise_std"):
         ExperimentSpec(p=3, noise_std=-0.5)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_std must be finite"):
+            ExperimentSpec(p=3, noise_std=value)
+
+
+def test_simulation_builds_preconditioner_once(tmp_path, monkeypatch):
+    # noise_std**2 and noise_std * noise_std differ by one ULP here, so a
+    # preconditioner keyed on the former would never serve the slopes.
+    noise_std = 0.6652276103250185
+    assert noise_std**2 != noise_std * noise_std
+    builds = []
+    build = solver.operator_diagonal_stats
+
+    def counted(op, *args, **kwargs):
+        builds.append(op.space)
+        return build(op, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "operator_diagonal_stats", counted)
+    spec = ExperimentSpec(p=3, noise_std=noise_std, methods=("u-pcg-opt",), max_iter=3, trials=2)
+    run_simulation(spec, cache_dir=tmp_path)
+    assert builds == ["u"]
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 # -- statistics validation and benchmarks --------------------------------------

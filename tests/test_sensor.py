@@ -232,6 +232,13 @@ def test_noise_perturbation_scale():
     assert sample.std() == pytest.approx(0.5, rel=0.1)
 
 
+@pytest.mark.parametrize("noise_std", [-0.5, np.nan, np.inf])
+def test_measurements_reject_negative_or_non_finite_noise(noise_std):
+    pup = make_pupil(9)
+    with pytest.raises(ValueError, match="noise_std must be finite and nonnegative"):
+        simulate_measurements(np.zeros((9, 9)), pup, noise_std, np.random.default_rng(0))
+
+
 def test_slope_set_validation():
     pup = make_pupil(9)
     w = np.zeros((9, 9))
