@@ -273,13 +273,34 @@ def _pass_stages(lev: ScaleCoefficients, n: int):
     return stage(centre), stage(rows) + stage(rows, swap=True)
 
 
+# Single grids up to this depth run each map's passes as a program bound
+# once per operator to a private workspace.  Binding saves the per-call
+# view and temporary building that sets the wall clock of small grids; at
+# p=8 it saves no time and its workspace and scratch cost ~2 MB.
+_BIND_MAX_P = 7
+
+
+def _fresh_scratch(t):
+    # *_like keeps the caller's array type, so a subclass sees every step.
+    return np.empty_like(t), np.empty_like(t)
+
+
+def _run(steps):
+    for ufunc, a, b, out in steps:
+        ufunc(a, b, out)
+
+
 class FractalOperator:
     """In-place multiscale maps between generator and screen grids.
 
     Grids are float64 arrays whose last two axes are (2**p + 1) square;
     leading axes are treated as a batch.  Each of the four maps costs
     exactly 6 * n**2 - 14 flops per grid and mutates its argument.  All
-    four walk ``stages``, the refinement table in forward order.
+    four walk ``stages``, the refinement table in forward order, and
+    scale by the alpha0 grid (1 at the four corners, uncharged) once.
+
+    A single grid at p <= 7 runs programs bound to a private workspace:
+    one operator must not be called from two threads at once.
     """
 
     def __init__(self, sf, p: int):
@@ -292,6 +313,24 @@ class FractalOperator:
         self.stages = tuple(s for lev in self.levels for s in _pass_stages(lev, self.n))
         K, K_inv = self.outer.forward_matrix, self.outer.inverse_matrix
         self._k, self._k_inv, self._k_t, self._k_inv_t = K, K_inv, K.T, K_inv.T
+        self._alpha0 = np.ones((self.n, self.n))
+        for stage in self.stages:
+            for index, alpha0, _ in stage:
+                self._alpha0[index] = alpha0
+        self._programs = {}
+        if self.p <= _BIND_MAX_P:
+            self._work = np.empty((self.n, self.n))
+            buffers = {}  # two per target shape, shared by the four programs
+
+            def scratch(t):
+                if t.shape not in buffers:
+                    buffers[t.shape] = (np.empty(t.shape), np.empty(t.shape))
+                return buffers[t.shape]
+
+            self._programs = {
+                (transpose, inverse): tuple(self._steps(self._work, transpose, inverse, scratch))
+                for transpose in (False, True) for inverse in (False, True)
+            }
 
     # -- plumbing ---------------------------------------------------------
 
@@ -303,8 +342,9 @@ class FractalOperator:
                 f"grid side must be {self.n} (= 2**{self.p} + 1), got {grid.shape[-2:]}"
             )
         if grid.ndim > 2 and grid.size == self.n * self.n:
-            # A stack of one runs on its 2-D view: every slice update costs
-            # per axis, and (1, n, n) is ~20% slower than (n, n) at p=6.
+            # A stack of one runs on its 2-D view, as a single grid: every
+            # slice update costs per axis, and (1, n, n) is ~20% slower
+            # than (n, n) at p=6 without the bound program.
             return grid[(0,) * (grid.ndim - 2)]
         return grid
 
@@ -313,7 +353,7 @@ class FractalOperator:
             batch = grid.size // (self.n * self.n)
             counter.add("fractal", batch * (6 * self.n * self.n - 14))
 
-    # -- the three steps --------------------------------------------------
+    # -- the steps --------------------------------------------------------
 
     def _corners(self, W, M):
         # Elementwise rather than a matmul: BLAS sums a batch in another
@@ -326,39 +366,49 @@ class FractalOperator:
         T = C[_CORNERS][..., None, :] * M
         C[_CORNERS] = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3]
 
-    def _gather(self, W, inverse):
-        # target = alpha0 * target + sum(weight * parents), or its inverse.
-        for stage in reversed(self.stages) if inverse else self.stages:
-            for index, alpha0, groups in stage:
-                t = W[index]
-                s = None
-                for w, qs in groups:
-                    term = W[qs[0]]
-                    for q in qs[1:]:
-                        term = term + W[q]
-                    s = w * term if s is None else s + w * term
-                if inverse:
-                    t -= s
-                    t /= alpha0
-                else:
-                    t *= alpha0
-                    t += s
+    def _steps(self, W, transpose, inverse, scratch):
+        """The refinement passes of one map as ``(ufunc, a, b, out)`` steps on W.
 
-    def _scatter(self, W, inverse):
-        # The transpose of _gather: each target adds itself, weighted, into
-        # its parents, so stages run in the opposite order.
-        for stage in self.stages if inverse else reversed(self.stages):
-            for index, alpha0, groups in stage:
+        K gathers target += sum(weight * parents) in table order and K^-1
+        undoes it (target -= ...) in reverse.  K^T scatters each target,
+        weighted, into its parents in reverse order, and K^-T scatters
+        with negated weights in order.  ``scratch(t)`` gives two buffers
+        shaped like the target t.  The alpha0 scale is no step: no target
+        is read again after it, so each map scales the whole grid once.
+        Weights are 0-d arrays, which a ufunc takes faster than a float.
+        """
+        for stage in self.stages if transpose == inverse else reversed(self.stages):
+            for index, _, groups in stage:
                 t = W[index]
-                if inverse:
-                    t /= alpha0
-                for w, qs in groups:
-                    wt = (-w if inverse else w) * t
-                    for q in qs:
-                        parent = W[q]
-                        parent += wt
-                if not inverse:
-                    t *= alpha0
+                s, u = scratch(t)
+                if transpose:
+                    for w, qs in groups:
+                        yield np.multiply, np.array(-w if inverse else w), t, s
+                        for q in qs:
+                            parent = W[q]
+                            yield np.add, parent, s, parent
+                    continue
+                for k, (w, qs) in enumerate(groups):
+                    term = u if k else s
+                    if len(qs) == 1:
+                        yield np.multiply, np.array(w), W[qs[0]], term
+                    else:
+                        yield np.add, W[qs[0]], W[qs[1]], term
+                        for q in qs[2:]:
+                            yield np.add, term, W[q], term
+                        yield np.multiply, np.array(w), term, term
+                    if k:
+                        yield np.add, s, u, s
+                yield np.subtract if inverse else np.add, t, s, t
+
+    def _passes(self, W, transpose, inverse):
+        program = self._programs.get((transpose, inverse)) if W.ndim == 2 else None
+        if program is None:
+            _run(self._steps(W, transpose, inverse, _fresh_scratch))
+        else:
+            self._work[...] = W
+            _run(program)
+            W[...] = self._work
 
     # -- the four maps ----------------------------------------------------
 
@@ -366,14 +416,16 @@ class FractalOperator:
         """Overwrite generators with the correlated screen (w = K u)."""
         W = self._grid(grid)
         self._corners(W, self._k)
-        self._gather(W, inverse=False)
+        W *= self._alpha0
+        self._passes(W, transpose=False, inverse=False)
         self._charge(W, counter)
         return grid
 
     def apply_inverse(self, grid, counter=None):
         """Overwrite a screen with its generators (u = K^-1 w)."""
         W = self._grid(grid)
-        self._gather(W, inverse=True)
+        self._passes(W, transpose=False, inverse=True)
+        W /= self._alpha0
         self._corners(W, self._k_inv)
         self._charge(W, counter)
         return grid
@@ -381,7 +433,8 @@ class FractalOperator:
     def apply_transpose(self, grid, counter=None):
         """Apply the transpose of the forward map (z = K^T z), in place."""
         W = self._grid(grid)
-        self._scatter(W, inverse=False)
+        self._passes(W, transpose=True, inverse=False)
+        W *= self._alpha0
         self._corners(W, self._k_t)
         self._charge(W, counter)
         return grid
@@ -390,6 +443,7 @@ class FractalOperator:
         """Apply the inverse transpose (z = K^-T z), in place."""
         W = self._grid(grid)
         self._corners(W, self._k_inv_t)
-        self._scatter(W, inverse=True)
+        W /= self._alpha0
+        self._passes(W, transpose=True, inverse=True)
         self._charge(W, counter)
         return grid

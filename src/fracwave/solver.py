@@ -70,8 +70,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}, pick one of {sorted(VARIANTS)}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def space(self) -> str:

@@ -108,6 +108,73 @@ def dense_generator_matrix(sf, p, outer_matrix):
     return K
 
 
+def reference_map(op, name, grid):
+    """One multiscale map of ``op`` on ``grid`` (in place), target by target.
+
+    Walks ``op.stages`` the way the maps were first written: every target
+    scales itself by its own alpha0 inside the gather or scatter (K and
+    K^T after the parents are summed in or the target spread out, K^-1
+    and K^-T around it), and every sum is a fresh temporary.  The fast
+    maps scale the whole grid once instead; they must match this bit for
+    bit, non-finite samples included.
+    """
+    n = op.n
+    corners = (Ellipsis, np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]))
+
+    def corner_step(M):
+        C = grid[..., :: n - 1, :: n - 1]
+        T = C[corners][..., None, :] * M
+        C[corners] = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3]
+
+    def gather(inverse):
+        for stage in reversed(op.stages) if inverse else op.stages:
+            for index, alpha0, groups in stage:
+                t = grid[index]
+                s = None
+                for w, qs in groups:
+                    term = grid[qs[0]]
+                    for q in qs[1:]:
+                        term = term + grid[q]
+                    s = w * term if s is None else s + w * term
+                if inverse:
+                    t -= s
+                    t /= alpha0
+                else:
+                    t *= alpha0
+                    t += s
+
+    def scatter(inverse):
+        for stage in op.stages if inverse else reversed(op.stages):
+            for index, alpha0, groups in stage:
+                t = grid[index]
+                if inverse:
+                    t /= alpha0
+                for w, qs in groups:
+                    wt = (-w if inverse else w) * t
+                    for q in qs:
+                        parent = grid[q]
+                        parent += wt
+                if not inverse:
+                    t *= alpha0
+
+    K, K_inv = op.outer.forward_matrix, op.outer.inverse_matrix
+    if name == "apply":
+        corner_step(K)
+        gather(inverse=False)
+    elif name == "apply_inverse":
+        gather(inverse=True)
+        corner_step(K_inv)
+    elif name == "apply_transpose":
+        scatter(inverse=False)
+        corner_step(K.T)
+    elif name == "apply_inverse_transpose":
+        corner_step(K_inv.T)
+        scatter(inverse=True)
+    else:
+        raise ValueError(f"unknown map {name!r}")
+    return grid
+
+
 def dense_from_apply(apply_fn, size):
     """Assemble the matrix of a linear map by probing basis vectors."""
     cols = np.eye(size)

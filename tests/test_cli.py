@@ -181,6 +181,19 @@ def test_non_finite_noise_std_exits_2_without_output(pipeline, capsys, value):
     assert not curves.exists()
 
 
+def test_infinite_tol_exits_2_without_output(pipeline, capsys):
+    tmp_path, _, slopes = pipeline
+    out = tmp_path / "estimate.bin"
+    assert main(["reconstruct", str(slopes), "--tol", "inf", "--out", str(out)]) == 2
+    assert "tol must be finite" in capsys.readouterr().err
+    assert not out.exists()
+    curves = tmp_path / "curves.csv"
+    argv = ["simulate", "--p", "3", "--trials", "1", "--tol", "inf", "--out", str(curves)]
+    assert main(argv) == 2
+    assert "tol must be finite" in capsys.readouterr().err
+    assert not curves.exists()
+
+
 def test_validate_sf_below_two_passes_exits_2_without_output(tmp_path, capsys):
     out = tmp_path / "sf.csv"
     assert main(["validate-sf", "--p", "1", "--trials", "2", "--out", str(out)]) == 2

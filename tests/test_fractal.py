@@ -14,8 +14,11 @@ from oracles import (
     covariance_matrix,
     dense_generator_matrix,
     dense_grid_operator,
+    reference_map,
     stencil_schedule,
 )
+
+MAPS = ("apply", "apply_inverse", "apply_transpose", "apply_inverse_transpose")
 
 
 def make_op(p, r0=1.0):
@@ -98,17 +101,39 @@ def test_apply_is_linear(x, y, a):
     np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-7)
 
 
-@pytest.mark.parametrize(
-    "name", ["apply", "apply_inverse", "apply_transpose", "apply_inverse_transpose"]
-)
+@pytest.mark.parametrize("name", MAPS)
 def test_batch_matches_loop(name):
-    _, op = make_op(3)
-    fn = getattr(op, name)
-    x = random_grids(3, 4, seed=9)
-    batched = fn(x.copy())
-    for i in range(4):
-        np.testing.assert_array_equal(batched[i], fn(x[i].copy()))
-        np.testing.assert_array_equal(batched[i], fn(x[i : i + 1].copy())[0])
+    # Single grids up to p=7 run the program bound to the operator's
+    # workspace; stacks, and single grids from p=8, run the steps on the
+    # caller's array.  Both sides of that cut-over must agree.
+    for p in range(1, 9):
+        _, op = make_op(p)
+        fn = getattr(op, name)
+        x = random_grids(p, 4, seed=9)
+        batched = fn(x.copy())
+        for i in range(4):
+            np.testing.assert_array_equal(batched[i], fn(x[i].copy()))
+            np.testing.assert_array_equal(batched[i], fn(x[i : i + 1].copy())[0])
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_maps_match_per_target_reference_bit_for_bit(p, batch):
+    # The maps scale by the alpha0 grid once (1 at the corners) instead of
+    # per target; the outputs may not move by a bit, inf and NaN included.
+    _, op = make_op(p)
+    n = op.n
+    x = random_grids(p, batch or 1, seed=p)
+    planted = x.copy()
+    planted[..., 0, n - 1] = np.inf
+    planted[..., n // 2, 1] = np.nan
+    for grids in (x, planted):
+        grids = grids[0] if batch is None else grids
+        for name in MAPS:
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = getattr(op, name)(grids.copy())
+                want = reference_map(op, name, grids.copy())
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
 
 def test_operators_run_in_place():

@@ -1,5 +1,8 @@
 """On-disk formats: binary grids and commented CSV tables."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,7 @@ from fracwave.fileio import (
     write_trace_csv,
 )
 from fracwave.harness import BenchRow, ExperimentSpec, run_simulation
-from fracwave.sensor import make_pupil, simulate_measurements
+from fracwave.sensor import SlopeSet, make_pupil, simulate_measurements
 from fracwave.solver import Reconstructor, SolverConfig
 
 
@@ -74,6 +77,33 @@ def test_slopes_round_trip(tmp_path, grid):
     assert path.read_text().splitlines()[1] == "isub,ix,iy,dx,dy,var"
 
 
+def test_slopes_write_matches_csv_writer(tmp_path):
+    # The writer joins f-strings in blocks of rows; its bytes must stay
+    # those csv.writer writes for the same rows, extreme values included,
+    # over enough rows to span several blocks.
+    values = [-0.0, 0.0, 1.0, -3.0, 5e-324, 2.2250738585072009e-308,
+              0.1, 1 / 3, -2.7182818284590451, 1e300, 123456789012345678.0]
+    count = 5000
+    values = np.resize(values, count)
+    slopes = SlopeSet(
+        subap_x=np.arange(count), subap_y=np.arange(count)[::-1].copy(),
+        sx=values, sy=values[::-1].copy(), var=np.abs(values) + 5e-324,
+    )
+    path = tmp_path / "slopes.csv"
+    write_slopes_csv(path, slopes, {"p": 3})
+    expected = io.StringIO(newline="")
+    expected.write("# fracwave p=3\n")
+    writer = csv.writer(expected)
+    writer.writerow(["isub", "ix", "iy", "dx", "dy", "var"])
+    for i in range(count):
+        writer.writerow([i, int(slopes.subap_x[i]), int(slopes.subap_y[i])]
+                        + [format(float(a[i]), ".17g") for a in (slopes.sx, slopes.sy, slopes.var)])
+    data = path.read_bytes()
+    assert data == expected.getvalue().encode()
+    for rendered in (b",-0,", b",1,", b",4.9406564584124654e-324", b",1.2345678901234568e+17"):
+        assert rendered in data
+
+
 def _slope_file(tmp_path, grid, edit=None):
     """A valid p=3 slope file, its lines passed through ``edit`` first."""
     pup = make_pupil(9)
@@ -108,6 +138,8 @@ BAD_SLOPE_FILES = {
     "negative-var": lambda lines: _set_field(lines, 3, 5, "-0.49"),
     "fractional-ix": lambda lines: _set_field(lines, 3, 1, "3.7"),
     "fractional-iy": lambda lines: _set_field(lines, 3, 2, "2.5"),
+    "nan-isub": lambda lines: _set_field(lines, 3, 0, "nan"),
+    "out-of-range-isub": lambda lines: _set_field(lines, 3, 0, "99999"),
 }
 
 

@@ -426,8 +426,9 @@ def test_solver_config_validation():
         SolverConfig("gauss-seidel")
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError, match="tol"):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
 
 
 def test_reconstruct_matches_dense_solution(system, tmp_path):
