@@ -4,12 +4,15 @@ Subcommands cover the full loop: ``generate`` a screen, ``sense`` it
 into noisy slopes, ``reconstruct`` a wavefront from slopes, and the
 batch drivers ``simulate`` (Monte-Carlo convergence curves),
 ``validate-sf`` (screen statistics) and ``bench`` (operation counts).
-Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.
+Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.  ``-v``
+before the subcommand prints the ``fracwave`` logger's INFO records, such
+as a preconditioner build's progress per probe pass, on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -159,6 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fracwave",
         description="Matrix-free minimum-variance wavefront reconstruction.",
     )
+    parser.add_argument("-v", dest="verbose", action="store_true",
+                        help="log preconditioner build progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, *, r0=True, seed=True):
@@ -229,6 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    logger = logging.getLogger("fracwave")
+    handler = level = None
+    if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        level = logger.level
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
@@ -237,6 +250,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if handler is not None:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import logging
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -167,19 +168,37 @@ class DiagonalPreconditioner:
         return self.values * r
 
 
-# Chebyshev radius, in lattice steps h of a pass, within which a column
-# placed at that pass couples to rows placed at that pass or any finer
-# one: 4h for A_u and 2h for A_w (measured on the dense operators at
-# p = 4..6).  Same-colour columns sit 2 * radius + 1 steps apart, so each
-# such row sees at most one of them.  An even stride fails: a row exactly
-# at the radius ties between two columns.
+# Colour stride of a probe pass, in lattice steps h of that pass.  A
+# column placed at a pass couples to rows placed at that pass or any finer
+# one within some Chebyshev radius r; same-colour columns sit stride steps
+# apart, so each such row sees at most one of them when 2 * r + 1 <=
+# stride.  An even stride fails: a row exactly at the radius ties between
+# two columns.
+#
+# At the finest pass (h = 1) r = 2 in both spaces.  K moves a centre
+# generator only onto its four adjacent edge midpoints and an edge
+# generator nowhere, so K e_j lies within 1 of j and is j alone for an
+# edge; S^T W S couples only samples that share a cell, within 1.  Two
+# finest columns thus couple within 1 + 1 + 1 = 3 steps when both are
+# centres and within 2 otherwise, and centre-centre offsets are even, so
+# within 2.  Interior u-space passes reach r = 4 on the dense operator at
+# every pass whose lattice is wide enough (tested for p = 2..6), so they
+# keep stride 9, and stride 7 is unsound there; w-space passes reach 2.
 PROBE_STRIDE = {"u": 9, "w": 5}
+FINEST_PROBE_STRIDE = 5
 
 # Bytes of one (batch, n, n) float64 grid stack, for trial chunks in
-# run_simulation and probe batches here; one operator application holds
-# several such stacks, a stacked PCG solve about a dozen.  That is 496
-# grids at p=6 and 31 at p=8.
+# run_simulation; one operator application holds several such stacks, a
+# stacked PCG solve about a dozen.  That is 496 grids at p=6 and 31 at
+# p=8.
 CHUNK_BYTES = 16 << 20
+
+# Probe batches are smaller: about this many bytes per grid stack, which
+# keeps a probe's working stacks in cache, but never fewer grids than the
+# floor, below which per-call overhead dominates (31 grids at p=6, 7 at
+# p=7, 4 at p=8).
+PROBE_BATCH_BYTES = 1 << 20
+PROBE_BATCH_FLOOR = 4
 
 
 def _sample_passes(p: int) -> np.ndarray:
@@ -207,21 +226,22 @@ def _pass_colours(passes, level: int, stride: int):
     step = (n - 1) >> level
     span = stride * step
     k = np.arange(n)
+    # A lattice point is placed at the later of the passes that place its
+    # two coordinates on an axis; row 0 holds those per-coordinate passes.
+    first = passes[0]
     axes = []
     for c in range(min(stride, (1 << level) + 1)):
         near = c * step + span * ((2 * (k - c * step) + span) // (2 * span))
-        axes.append(np.where((near >= 0) & (near < n), near, -1))
-    flat_passes = passes.ravel()
-    index = np.arange(n * n).reshape(n, n)
+        inside = (near >= 0) & (near < n)
+        near = np.where(inside, near, 0)
+        axes.append((near, inside, first[near] == level, near == k))
     reached = passes >= level
-    for oy in axes:
-        for ox in axes:
-            inside = (oy >= 0)[:, None] & (ox >= 0)[None, :]
-            owner = np.where(inside, oy[:, None] * n + ox[None, :], 0)
-            owned = inside & (flat_passes[owner] == level) & reached
-            member = owned & (owner == index)
+    for oy, in_y, new_y, self_y in axes:
+        for ox, in_x, new_x, self_x in axes:
+            owned = (in_y[:, None] & in_x[None, :]) & (new_y[:, None] | new_x[None, :]) & reached
+            member = owned & self_y[:, None] & self_x[None, :]
             if member.any():
-                yield owner, owned, member
+                yield oy[:, None] * n + ox[None, :], owned, member
 
 
 def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
@@ -235,26 +255,35 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     their entries are read from the coarser probe instead.  The owner
     gets the square of every entry it is read from.  A row from a strictly
     finer pass also gets that square, as its entry against the owner.
-    That takes about stride**2 probes per pass, O(N log N) work in all.
+    That takes about stride**2 probes per pass (``PROBE_STRIDE``, and
+    ``FINEST_PROBE_STRIDE`` at the finest pass), O(N log N) work in all.
+    Probes go through A ``batch_size`` grids at a time; by default as many
+    as fit ``PROBE_BATCH_BYTES``, and at least ``PROBE_BATCH_FLOOR``.
+    Each pass logs one INFO progress line, and the build one summary.
 
     A row with no owner must read exactly zero; a nonzero there means
-    the operator couples farther than ``PROBE_STRIDE`` allows, and raises
-    RuntimeError.
+    the operator couples farther than the pass's stride allows, and
+    raises RuntimeError.
     """
     n = op.n
     p = scale_count(n)
     size = n * n
     if batch_size is None:
-        batch_size = max(1, CHUNK_BYTES // (8 * size))
+        batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * size))
+    elif not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     start = time.perf_counter()
     passes = _sample_passes(p)
     diag = np.zeros((n, n))
     rowsq = np.zeros(size)
     probes = 0
     for level in range(p + 1):
+        pass_start = time.perf_counter()
+        stride = FINEST_PROBE_STRIDE if level == p else PROBE_STRIDE[op.space]
         reached = passes >= level
         finer = np.zeros((n, n))
-        colours = _pass_colours(passes, level, PROBE_STRIDE[op.space])
+        colours = _pass_colours(passes, level, stride)
+        pass_probes = 0
         while batch := list(itertools.islice(colours, batch_size)):
             basis = np.zeros((len(batch), n, n))
             for grid, (_, _, member) in zip(basis, batch):
@@ -262,14 +291,17 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
             for y, (owner, owned, member) in zip(op.apply(basis), batch):
                 if np.any(y[reached & ~owned]):
                     raise RuntimeError(
-                        f"pass {level} probe reached a row outside the probe stride"
+                        f"pass {level} probe reached a row outside the probe stride {stride}"
                     )
                 sq = y * y
                 diag[member] = y[member]
                 rowsq += np.bincount(owner[owned], sq[owned], minlength=size)
                 finer += sq
-            probes += len(batch)
+            pass_probes += len(batch)
         rowsq += np.where(passes > level, finer, 0.0).ravel()
+        probes += pass_probes
+        log.info("%s-space probe pass %d/%d: stride %d, %d probes in %.3f s",
+                 op.space, level, p, stride, pass_probes, time.perf_counter() - pass_start)
     log.info("built %s-space preconditioner statistics at p=%d: %d probes in %.3f s",
              op.space, p, probes, time.perf_counter() - start)
     return diag, rowsq.reshape(n, n)

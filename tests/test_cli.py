@@ -110,6 +110,26 @@ def test_reconstruct_rebuilds_corrupt_cache_entry(pipeline, monkeypatch):
     assert entry.read_bytes()[:2] == good[:2] == b"PK"
 
 
+def test_verbose_logs_build_progress_on_stderr(pipeline, monkeypatch, capsys):
+    tmp_path, _, slopes = pipeline
+    monkeypatch.setenv("FRACWAVE_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / "estimate.bin"
+    argv = ["reconstruct", str(slopes), "--method", "u-pcg-opt", "--out", str(out)]
+    assert main(["-v", *argv]) == 0
+    err = capsys.readouterr().err.splitlines()
+    passes = [line for line in err if "probe pass" in line]
+    assert [line.split("probe pass ")[1].split(":")[0] for line in passes] == [
+        f"{level}/3" for level in range(4)
+    ]
+    assert all(line.startswith("INFO fracwave.solver: u-space") for line in passes)
+    assert any("built u-space preconditioner statistics at p=3: 49 probes" in line
+               for line in err)
+    # Without -v a cold build logs nothing.
+    monkeypatch.setenv("FRACWAVE_CACHE", str(tmp_path / "other-cache"))
+    assert main(argv) == 0
+    assert "INFO" not in capsys.readouterr().err
+
+
 def test_reconstruct_infers_grid_from_slope_comment(pipeline):
     tmp_path, _, slopes = pipeline
     out = tmp_path / "estimate.bin"

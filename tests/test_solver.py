@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import fracwave.solver as solver
-from fracwave.fractal import FractalOperator
+from fracwave.fractal import FractalOperator, scale_count
 from fracwave.metrics import FlopCounter, fractal_apply_flops
 from fracwave.sensor import ShackHartmann, SlopeSet, make_pupil, simulate_measurements
 from fracwave.solver import (
-    CHUNK_BYTES,
+    PROBE_BATCH_BYTES,
+    PROBE_BATCH_FLOOR,
     VARIANTS,
     DiagonalPreconditioner,
     IndefiniteOperatorError,
@@ -199,16 +200,71 @@ class GridCounter:
         return np.full_like(x, self.fill)
 
 
+# Probes for p = 4..8: the finest pass takes stride 5 in both spaces.
+PROBE_COUNTS = {"u": [106, 186, 267, 348, 429], "w": [74, 99, 124, 149, 174]}
+
+
 @pytest.mark.parametrize("space, stride", [("u", 9), ("w", 5)])
 def test_colored_probe_count_grows_by_a_constant_per_pass(space, stride):
     counts = []
+    largest = []
     for p in range(4, 9):
         op = GridCounter(p, space)
         operator_diagonal_stats(op)
         counts.append(op.grids)
-        assert op.largest * 8 * op.n * op.n <= CHUNK_BYTES
-    assert np.diff(counts).tolist() == [stride * stride] * 4
-    assert counts[-1] <= 600
+        largest.append(op.largest)
+        assert (op.largest * 8 * op.n * op.n <= PROBE_BATCH_BYTES
+                or op.largest == PROBE_BATCH_FLOOR)
+    assert counts == PROBE_COUNTS[space]
+    assert np.diff(counts[1:]).tolist() == [stride * stride] * 3
+    assert largest[2:] == [min(31, stride * stride), 7, 4]
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+def test_colored_probe_rejects_a_bad_batch_size(batch_size):
+    op = GridCounter(3, "u")
+    with pytest.raises(ValueError, match="batch_size"):
+        operator_diagonal_stats(op, batch_size=batch_size)
+    assert op.grids == 0
+
+
+def _coupling_radii(A):
+    """Per pass, the largest Chebyshev distance, in that pass's lattice
+    steps, from one of its columns to a row of that pass or finer that the
+    column reaches: one operator application per column."""
+    n = A.n
+    p = scale_count(n)
+    passes = solver._sample_passes(p)
+    radii = []
+    for level in range(p + 1):
+        radius = 0
+        every = np.argwhere(passes == level)
+        for start in range(0, len(every), 256):
+            cols = every[start:start + 256]
+            basis = np.zeros((len(cols), n, n))
+            basis[np.arange(len(cols)), cols[:, 0], cols[:, 1]] = 1.0
+            b, y, x = np.nonzero((A.apply(basis) != 0) & (passes >= level))
+            dist = np.maximum(np.abs(y - cols[b, 0]), np.abs(x - cols[b, 1]))
+            radius = max(radius, dist.max(initial=0))
+        radii.append(radius / ((n - 1) >> level))
+    return radii
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("space", ["u", "w"])
+def test_probe_stride_covers_the_dense_coupling_radius(p, space, tmp_path):
+    rec = Reconstructor(p, cache_dir=tmp_path)
+    rng = np.random.default_rng(p)
+    inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
+    inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
+    radii = _coupling_radii(rec.system(inv_var, space))
+    strides = [solver.PROBE_STRIDE[space]] * p + [solver.FINEST_PROBE_STRIDE]
+    for radius, stride in zip(radii, strides):
+        assert 2 * radius + 1 <= stride
+    if space == "u" and p >= 3:  # p = 2 has no subaperture, so A_u = I
+        assert radii[-1] == 2
+        if p >= 4:
+            assert max(radii[1:-1]) == 4
 
 
 def test_colored_probe_rejects_coupling_beyond_its_stride():
@@ -665,10 +721,12 @@ def test_cache_events_are_logged(system, tmp_path, caplog):
     inv_var = 1.0 / system[5].var
     with caplog.at_level(logging.DEBUG, logger="fracwave"):
         Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
-        (build,) = caplog.records
-        assert build.levelno == logging.INFO
+        *passes, build = caplog.records
+        assert [r.levelno for r in caplog.records] == [logging.INFO] * (P + 2)
+        assert [f"pass {level}/{P}: stride " in r.getMessage()
+                for level, r in enumerate(passes)] == [True] * (P + 1)
         assert "u-space" in build.getMessage() and f"p={P}" in build.getMessage()
-        assert "81 probes" in build.getMessage()
+        assert "49 probes" in build.getMessage()
         caplog.clear()
         Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
         (hit,) = caplog.records
