@@ -8,8 +8,7 @@ iteration.
 
 from .fractal import (CoefficientError, FractalOperator, OuterOperator,
                       ScaleCoefficients, build_coefficients,
-                      build_outer_operator, scale_count,
-                      solve_coefficients_numeric)
+                      build_outer_operator, scale_count)
 from .harness import (BenchRow, ExperimentSpec, SimulationResult, draw_screen,
                       run_bench, run_sf_validation, run_simulation,
                       trial_generator)

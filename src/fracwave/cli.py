@@ -67,10 +67,14 @@ def cmd_generate(args) -> int:
 def cmd_sense(args) -> int:
     fileio.ensure_parent(args.out)
     screen = fileio.read_grid(args.screen)
-    p = scale_count(screen.shape[0])
-    pupil = make_pupil(screen.shape[0])
+    n = screen.shape[0]
+    p = scale_count(n)
+    if p < 3:
+        raise ValueError(f"sense needs p >= 3, got {p}: the pupil of a grid "
+                         f"of side {n} holds no subaperture")
+    pupil = make_pupil(n)
     slopes = simulate_measurements(screen, pupil, args.noise_std, trial_generator(args.seed, 0))
-    meta = {"cmd": "sense", "n": screen.shape[0], "p": p,
+    meta = {"cmd": "sense", "n": n, "p": p,
             "noise_std": args.noise_std, "seed": args.seed, "nsub": slopes.nsub}
     fileio.write_slopes_csv(args.out, slopes, meta)
     print(f"wrote {args.out}: {slopes.nsub} subapertures", file=sys.stderr)

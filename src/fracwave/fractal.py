@@ -35,8 +35,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
+
+from .metrics import fractal_apply_flops
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,27 +103,6 @@ class OuterOperator:
                 [0.0, -2 / c, 0.0, 2 / c],
             ]
         )
-
-
-def solve_coefficients_numeric(parent_cov, cross_cov, sigma2):
-    """Solve the interpolation-weight system by generic linear algebra.
-
-    Solves  parent_cov @ alphas = cross_cov  and completes alpha0 from
-    the variance budget  alpha0^2 = sigma2 - cross_cov @ alphas.  Kept as
-    the reference oracle for the closed forms below.
-    """
-    parent_cov = np.asarray(parent_cov, dtype=float)
-    cross_cov = np.asarray(cross_cov, dtype=float)
-    try:
-        alphas = np.linalg.solve(parent_cov, cross_cov)
-    except np.linalg.LinAlgError as exc:
-        raise CoefficientError(f"singular parent covariance: {exc}") from exc
-    radicand = float(sigma2 - cross_cov @ alphas)
-    if radicand <= 0:
-        raise CoefficientError(
-            f"nonpositive generator variance {radicand}", radicand=radicand
-        )
-    return math.sqrt(radicand), alphas
 
 
 def square_coefficients(sf, r) -> tuple[float, float]:
@@ -273,18 +255,6 @@ def _pass_stages(lev: ScaleCoefficients, n: int):
     return stage(centre), stage(rows) + stage(rows, swap=True)
 
 
-# Single grids up to this depth run each map's passes as a program bound
-# once per operator to a private workspace.  Binding saves the per-call
-# view and temporary building that sets the wall clock of small grids; at
-# p=8 it saves no time and its workspace and scratch cost ~2 MB.
-_BIND_MAX_P = 7
-
-
-def _fresh_scratch(t):
-    # *_like keeps the caller's array type, so a subclass sees every step.
-    return np.empty_like(t), np.empty_like(t)
-
-
 def _run(steps):
     for ufunc, a, b, out in steps:
         ufunc(a, b, out)
@@ -299,8 +269,14 @@ class FractalOperator:
     four walk ``stages``, the refinement table in forward order, and
     scale by the alpha0 grid (1 at the four corners, uncharged) once.
 
-    A single grid at p <= 7 runs programs bound to a private workspace:
-    one operator must not be called from two threads at once.
+    The passes run on one workspace, of the last grid shape seen, and two
+    scratch buffers.  A call with a new shape reshapes the workspace
+    (the buffers grow to the largest stack seen and never shrink) and
+    drops the bound programs; each map binds its steps on first use, and
+    every call copies the grid in and the result out.  Binding saves the
+    per-call view and temporary building that sets the wall clock of
+    small grids.  One operator serves one thread at a time; a map called
+    while another runs raises RuntimeError.
     """
 
     def __init__(self, sf, p: int):
@@ -312,25 +288,16 @@ class FractalOperator:
         self.outer = build_outer_operator(sf, float(self.n - 1))
         self.stages = tuple(s for lev in self.levels for s in _pass_stages(lev, self.n))
         K, K_inv = self.outer.forward_matrix, self.outer.inverse_matrix
-        self._k, self._k_inv, self._k_t, self._k_inv_t = K, K_inv, K.T, K_inv.T
+        self._corner_matrix = {(False, False): K, (False, True): K_inv,
+                               (True, False): K.T, (True, True): K_inv.T}
         self._alpha0 = np.ones((self.n, self.n))
         for stage in self.stages:
             for index, alpha0, _ in stage:
                 self._alpha0[index] = alpha0
-        self._programs = {}
-        if self.p <= _BIND_MAX_P:
-            self._work = np.empty((self.n, self.n))
-            buffers = {}  # two per target shape, shared by the four programs
-
-            def scratch(t):
-                if t.shape not in buffers:
-                    buffers[t.shape] = (np.empty(t.shape), np.empty(t.shape))
-                return buffers[t.shape]
-
-            self._programs = {
-                (transpose, inverse): tuple(self._steps(self._work, transpose, inverse, scratch))
-                for transpose in (False, True) for inverse in (False, True)
-            }
+        self._work = None     # workspace of the last grid shape, a view of a flat buffer
+        self._scratch = None  # two flat buffers, each one finest centre stage
+        self._programs = {}   # (transpose, inverse) -> steps bound to _work
+        self._lock = threading.Lock()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -343,15 +310,15 @@ class FractalOperator:
             )
         if grid.ndim > 2 and grid.size == self.n * self.n:
             # A stack of one runs on its 2-D view, as a single grid: every
-            # slice update costs per axis, and (1, n, n) is ~20% slower
-            # than (n, n) at p=6 without the bound program.
+            # slice update costs per axis, and a bound (1, n, n) program
+            # runs 2-5% slower than the (n, n) one at p = 5..8.
             return grid[(0,) * (grid.ndim - 2)]
         return grid
 
     def _charge(self, grid, counter):
         if counter is not None:
             batch = grid.size // (self.n * self.n)
-            counter.add("fractal", batch * (6 * self.n * self.n - 14))
+            counter.add("fractal", batch * fractal_apply_flops(self.n * self.n))
 
     # -- the steps --------------------------------------------------------
 
@@ -366,21 +333,23 @@ class FractalOperator:
         T = C[_CORNERS][..., None, :] * M
         C[_CORNERS] = T[..., 0] + T[..., 1] + T[..., 2] + T[..., 3]
 
-    def _steps(self, W, transpose, inverse, scratch):
-        """The refinement passes of one map as ``(ufunc, a, b, out)`` steps on W.
+    def _steps(self, transpose, inverse):
+        """The refinement passes of one map as ``(ufunc, a, b, out)`` steps.
 
         K gathers target += sum(weight * parents) in table order and K^-1
         undoes it (target -= ...) in reverse.  K^T scatters each target,
         weighted, into its parents in reverse order, and K^-T scatters
-        with negated weights in order.  ``scratch(t)`` gives two buffers
-        shaped like the target t.  The alpha0 scale is no step: no target
-        is read again after it, so each map scales the whole grid once.
-        Weights are 0-d arrays, which a ufunc takes faster than a float.
+        with negated weights in order.  Every step acts on the workspace;
+        each target's two scratch terms are views of a prefix of the two
+        scratch buffers.  The alpha0 scale is no step: no target is read
+        again after it, so each map scales the whole grid once.  Weights
+        are 0-d arrays, which a ufunc takes faster than a float.
         """
+        W = self._work
         for stage in self.stages if transpose == inverse else reversed(self.stages):
             for index, _, groups in stage:
                 t = W[index]
-                s, u = scratch(t)
+                s, u = (b[: t.size].reshape(t.shape) for b in self._scratch)
                 if transpose:
                     for w, qs in groups:
                         yield np.multiply, np.array(-w if inverse else w), t, s
@@ -402,48 +371,61 @@ class FractalOperator:
                 yield np.subtract if inverse else np.add, t, s, t
 
     def _passes(self, W, transpose, inverse):
-        program = self._programs.get((transpose, inverse)) if W.ndim == 2 else None
+        if self._work is None or self._work.shape != W.shape:
+            # The flat buffers only grow: fresh memory for each new stack
+            # size costs a page fault per 4 KiB, more than binding does.
+            if self._work is None or self._work.base.size < W.size:
+                # The finest pass's centre stage is the largest target.
+                size = W.size // (self.n * self.n) * ((self.n - 1) // 2) ** 2
+                self._scratch = np.empty(size), np.empty(size)
+                flat = np.empty(W.size)
+            else:
+                flat = self._work.base
+            self._work = flat[: W.size].reshape(W.shape)
+            self._programs = {}
+        program = self._programs.get((transpose, inverse))
         if program is None:
-            _run(self._steps(W, transpose, inverse, _fresh_scratch))
-        else:
-            self._work[...] = W
-            _run(program)
-            W[...] = self._work
+            program = self._programs[transpose, inverse] = tuple(self._steps(transpose, inverse))
+        self._work[...] = W
+        _run(program)
+        W[...] = self._work
+
+    def _map(self, grid, counter, transpose, inverse):
+        # K and K^-T run the corner step first, K^-1 and K^T last; the
+        # alpha0 scale always sits between it and the passes.
+        W = self._grid(grid)
+        scale = np.divide if inverse else np.multiply
+        M = self._corner_matrix[transpose, inverse]
+        if not self._lock.acquire(blocking=False):
+            raise RuntimeError("FractalOperator is already running a map in another thread")
+        try:
+            if transpose == inverse:
+                self._corners(W, M)
+                scale(W, self._alpha0, out=W)
+                self._passes(W, transpose, inverse)
+            else:
+                self._passes(W, transpose, inverse)
+                scale(W, self._alpha0, out=W)
+                self._corners(W, M)
+        finally:
+            self._lock.release()
+        self._charge(W, counter)
+        return grid
 
     # -- the four maps ----------------------------------------------------
 
     def apply(self, grid, counter=None):
         """Overwrite generators with the correlated screen (w = K u)."""
-        W = self._grid(grid)
-        self._corners(W, self._k)
-        W *= self._alpha0
-        self._passes(W, transpose=False, inverse=False)
-        self._charge(W, counter)
-        return grid
+        return self._map(grid, counter, transpose=False, inverse=False)
 
     def apply_inverse(self, grid, counter=None):
         """Overwrite a screen with its generators (u = K^-1 w)."""
-        W = self._grid(grid)
-        self._passes(W, transpose=False, inverse=True)
-        W /= self._alpha0
-        self._corners(W, self._k_inv)
-        self._charge(W, counter)
-        return grid
+        return self._map(grid, counter, transpose=False, inverse=True)
 
     def apply_transpose(self, grid, counter=None):
         """Apply the transpose of the forward map (z = K^T z), in place."""
-        W = self._grid(grid)
-        self._passes(W, transpose=True, inverse=False)
-        W *= self._alpha0
-        self._corners(W, self._k_t)
-        self._charge(W, counter)
-        return grid
+        return self._map(grid, counter, transpose=True, inverse=False)
 
     def apply_inverse_transpose(self, grid, counter=None):
         """Apply the inverse transpose (z = K^-T z), in place."""
-        W = self._grid(grid)
-        self._corners(W, self._k_inv_t)
-        W /= self._alpha0
-        self._passes(W, transpose=True, inverse=True)
-        self._charge(W, counter)
-        return grid
+        return self._map(grid, counter, transpose=True, inverse=True)

@@ -48,8 +48,9 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p must be at least 1, got {self.p}")
+        if self.p < 3:
+            raise ValueError(f"p must be at least 3, got {self.p}: the pupil of a grid "
+                             f"of side {2 ** self.p + 1:g} holds no subaperture")
         if self.r0 <= 0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):

@@ -12,6 +12,29 @@ import math
 
 import numpy as np
 
+from fracwave.fractal import CoefficientError
+
+
+def solve_coefficients_numeric(parent_cov, cross_cov, sigma2):
+    """Solve the interpolation-weight system by generic linear algebra.
+
+    Solves  parent_cov @ alphas = cross_cov  and completes alpha0 from
+    the variance budget  alpha0^2 = sigma2 - cross_cov @ alphas.  The
+    reference oracle for the closed forms in ``fracwave.fractal``.
+    """
+    parent_cov = np.asarray(parent_cov, dtype=float)
+    cross_cov = np.asarray(cross_cov, dtype=float)
+    try:
+        alphas = np.linalg.solve(parent_cov, cross_cov)
+    except np.linalg.LinAlgError as exc:
+        raise CoefficientError(f"singular parent covariance: {exc}") from exc
+    radicand = float(sigma2 - cross_cov @ alphas)
+    if radicand <= 0:
+        raise CoefficientError(
+            f"nonpositive generator variance {radicand}", radicand=radicand
+        )
+    return math.sqrt(radicand), alphas
+
 
 def corner_points(n):
     """Support corners in cyclic order (consecutive corners share a side)."""

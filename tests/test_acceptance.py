@@ -30,14 +30,14 @@ from fracwave.solver import (
 )
 from fracwave.fractal import (
     diamond_coefficients,
-    solve_coefficients_numeric,
     square_coefficients,
     triangle_coefficients,
 )
 from fracwave.turbulence import kolmogorov
 
 from conftest import record_criterion
-from oracles import corner_points, covariance_matrix, dense_grid_operator, dense_sensor_matrix
+from oracles import (corner_points, covariance_matrix, dense_grid_operator,
+                     dense_sensor_matrix, solve_coefficients_numeric)
 
 
 @contextmanager

@@ -1,11 +1,14 @@
 """Command-line pipeline: generate, sense, reconstruct, and friends."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracwave
 from fracwave.cli import main
 from fracwave.fileio import read_grid, read_slopes_csv
 from fracwave.metrics import residual_stats
@@ -221,6 +224,24 @@ def test_validate_sf_below_two_passes_exits_2_without_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sense_refuses_a_grid_without_subapertures(tmp_path, capsys):
+    screen, slopes = tmp_path / "screen.bin", tmp_path / "slopes.csv"
+    assert main(["generate", "--p", "2", "--out", str(screen)]) == 0
+    assert main(["sense", str(screen), "--out", str(slopes)]) == 2
+    assert "grid of side 5 holds no subaperture" in capsys.readouterr().err
+    assert not slopes.exists()
+
+
+@pytest.mark.parametrize("p, side", [(1, 3), (2, 5)])
+def test_simulate_refuses_a_grid_without_subapertures(tmp_path, capsys, recwarn, p, side):
+    curves = tmp_path / "curves.csv"
+    argv = ["simulate", "--p", str(p), "--trials", "1", "--out", str(curves)]
+    assert main(argv) == 2
+    assert f"grid of side {side} holds no subaperture" in capsys.readouterr().err
+    assert not curves.exists()
+    assert not recwarn.list
+
+
 def test_bench_writes_rows(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--p", "2:3", "--max-iter", "2", "--out", str(out)]) == 0
@@ -281,11 +302,16 @@ def test_help_exits_cleanly():
 
 
 def test_console_entry_point(tmp_path):
+    # The child finds the package where this process found it, whether
+    # that came from PYTHONPATH or from pytest's own pythonpath setting.
+    src = str(Path(fracwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "cli.bin"
     proc = subprocess.run(
         [sys.executable, "-m", "fracwave.cli", "generate", "--p", "3", "--seed", "2", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert read_grid(out).shape == (9, 9)

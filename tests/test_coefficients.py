@@ -7,13 +7,12 @@ from fracwave.fractal import (
     CoefficientError,
     build_coefficients,
     diamond_coefficients,
-    solve_coefficients_numeric,
     square_coefficients,
     triangle_coefficients,
 )
 from fracwave.turbulence import kolmogorov
 
-from oracles import solve_stencil
+from oracles import solve_coefficients_numeric, solve_stencil
 
 P = 8
 SF = kolmogorov(1.0, float(1 << P))

@@ -103,9 +103,9 @@ def test_apply_is_linear(x, y, a):
 
 @pytest.mark.parametrize("name", MAPS)
 def test_batch_matches_loop(name):
-    # Single grids up to p=7 run the program bound to the operator's
-    # workspace; stacks, and single grids from p=8, run the steps on the
-    # caller's array.  Both sides of that cut-over must agree.
+    # Each grid shape runs its own bound program on a workspace of that
+    # shape, and a stack of one runs as a single grid; every shape must
+    # give the same bits per grid.
     for p in range(1, 9):
         _, op = make_op(p)
         fn = getattr(op, name)
@@ -134,6 +134,42 @@ def test_maps_match_per_target_reference_bit_for_bit(p, batch):
                 got = getattr(op, name)(grids.copy())
                 want = reference_map(op, name, grids.copy())
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_switching_grid_shapes_keeps_the_bits(p):
+    # One operator, called on a new shape each time: every call rebinds its
+    # program to a workspace of that shape and must still match the
+    # reference bit for bit.
+    _, op = make_op(p)
+    n = op.n
+    assert op._work is None and op._programs == {}
+    for k, shape in enumerate([(n, n), (3, n, n), (1, n, n), (2, n, n), (n, n)]):
+        x = np.random.default_rng(k).normal(size=shape)
+        for name in MAPS:
+            got = getattr(op, name)(x.copy())
+            want = reference_map(op, name, x.copy())
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (shape, name)
+    # One workspace, of the last call's shape, in flat buffers grown to
+    # the largest stack seen.
+    assert op._work.shape == (n, n)
+    assert op._work.base.size == 3 * n * n
+    assert [b.size for b in op._scratch] == [3 * ((n - 1) // 2) ** 2] * 2
+    assert len(op._programs) == 4
+
+
+def test_a_map_refuses_to_run_while_another_holds_the_workspace():
+    # The maps share one workspace; a second caller must fail loudly
+    # rather than corrupt the first.  The test holds the lock itself.
+    _, op = make_op(3)
+    x = random_grids(3, 2, seed=3)
+    for grids in (x[0], x):
+        for name in MAPS:
+            y = grids.copy()
+            with op._lock, pytest.raises(RuntimeError, match="already running"):
+                getattr(op, name)(y)
+            np.testing.assert_array_equal(y, grids)
+    np.testing.assert_array_equal(op.apply(x.copy()), reference_map(op, "apply", x.copy()))
 
 
 def test_operators_run_in_place():

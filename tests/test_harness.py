@@ -176,6 +176,9 @@ def test_default_chunk_holds_every_trial_at_p6_and_tens_at_p8():
 def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="p"):
         ExperimentSpec(p=0)
+    for p, side in ((1, 3), (2, 5)):
+        with pytest.raises(ValueError, match=f"grid of side {side} holds no subaperture"):
+            ExperimentSpec(p=p)
     with pytest.raises(ValueError, match="trials"):
         ExperimentSpec(p=3, trials=0)
     with pytest.raises(ValueError, match="methods"):
