@@ -18,7 +18,7 @@ import numpy as np
 from .fractal import FractalOperator
 from .metrics import FlopCounter, empirical_structure_function, radial_profile
 from .sensor import simulate_measurements
-from .solver import CHUNK_BYTES, VARIANTS, Reconstructor, SolverConfig
+from .solver import CHUNK_BYTES, VARIANTS, Reconstructor, SolverConfig, is_integer
 from .turbulence import kolmogorov
 
 
@@ -48,6 +48,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not is_integer(self.p):
+            raise ValueError(f"p must be an integer, got {self.p!r}")
         if self.p < 3:
             raise ValueError(f"p must be at least 3, got {self.p}: the pupil of a grid "
                              f"of side {2 ** self.p + 1:g} holds no subaperture")
@@ -55,8 +57,8 @@ class ExperimentSpec:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if not is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not self.methods:
             raise ValueError("need at least one method")
         unknown = [m for m in self.methods if m not in VARIANTS]

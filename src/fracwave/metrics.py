@@ -36,12 +36,22 @@ def fractal_apply_flops(n_samples: int) -> int:
 def residual_stats(w_hat, w_true, pupil):
     """Piston-removed RMS and variance of w_hat - w_true over the pupil.
 
-    Leading axes of the (..., n, n) arguments index separate residuals;
-    both statistics come back with those axes.
+    Leading axes of the (..., n, n) arguments index separate residuals
+    and broadcast against each other; both statistics come back with
+    those axes.  Only the pupil samples are gathered and subtracted.
     """
-    d = np.asarray(w_hat, dtype=float) - w_true
+    n = pupil.n
+
+    def samples(w):
+        w = np.asarray(w, dtype=float)
+        lead = w.shape[:-2]
+        if w.shape[-2:] != (n, n):
+            w = np.broadcast_to(w, lead + (n, n))
+        return w.reshape(lead + (n * n,)).take(pupil.sample_index, axis=-1)
+
     # Contiguous rows, so each residual sums in the order of a lone one.
-    e = d.reshape(d.shape[:-2] + (-1,)).take(pupil.sample_index, axis=-1)
+    e, t = samples(w_hat), samples(w_true)
+    e = np.subtract(e, t, out=e if e.shape == t.shape else None)
     count = e.shape[-1]
     e -= np.add.reduce(e, axis=-1, keepdims=True) / count
     var = np.add.reduce(e * e, axis=-1) / count

@@ -55,16 +55,18 @@ def make_pupil(n: int, obscuration: float = 1.0 / 3.0) -> Pupil:
         raise ValueError(f"grid side must be at least 3, got {n}")
     if not 0.0 <= obscuration < 1.0:
         raise ValueError(f"obscuration ratio must be in [0, 1), got {obscuration}")
-    yy, xx = np.mgrid[0:n, 0:n]
     # 4 * squared distance from the centre, exact in integers.
-    s = (2 * xx - (n - 1)) ** 2 + (2 * yy - (n - 1)) ** 2
+    c2 = (2 * np.arange(n) - (n - 1)) ** 2
+    s = c2[:, None] + c2
     inside = (s <= (n - 1) ** 2) & (s >= (obscuration * (n - 1)) ** 2)
     valid = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
     sy, sx = np.nonzero(valid)
+    # Every corner of a valid subaperture: four shifted copies of valid.
     mask = np.zeros((n, n), dtype=bool)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            mask[sy + dy, sx + dx] = True
+    mask[:-1, :-1] |= valid
+    mask[:-1, 1:] |= valid
+    mask[1:, :-1] |= valid
+    mask[1:, 1:] |= valid
     return Pupil(n=n, obscuration=obscuration, sample_mask=mask, subap_x=sx, subap_y=sy)
 
 

@@ -56,6 +56,11 @@ VARIANTS = {
 }
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class IndefiniteOperatorError(RuntimeError):
     """The operator handed to CG is not positive definite."""
 
@@ -69,8 +74,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in VARIANTS:
             raise ValueError(f"unknown method {self.method!r}, pick one of {sorted(VARIANTS)}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not is_integer(self.max_iter) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
@@ -194,10 +199,11 @@ FINEST_PROBE_STRIDE = 5
 CHUNK_BYTES = 16 << 20
 
 # Probe batches are smaller: about this many bytes per grid stack, which
-# keeps a probe's working stacks in cache, but never fewer grids than the
-# floor, below which per-call overhead dominates (31 grids at p=6, 7 at
-# p=7, 4 at p=8).
-PROBE_BATCH_BYTES = 1 << 20
+# keeps a probe's working stacks in cache and a cold build's resident
+# growth near one such stack per operator temporary, but never fewer grids
+# than the floor, below which per-call overhead dominates (7 grids at
+# p=6, 4 from p=7 on).
+PROBE_BATCH_BYTES = 1 << 18
 PROBE_BATCH_FLOOR = 4
 
 
@@ -213,14 +219,16 @@ def _sample_passes(p: int) -> np.ndarray:
 
 
 def _pass_colours(passes, level: int, stride: int):
-    """Colour classes of one pass as (owner, owned, member) grids.
+    """Colour classes of one pass as (member, owned, owners, stray).
 
     Colour (cy, cx) holds the pass's samples at lattice coordinates
-    congruent to (cy, cx) modulo ``stride``.  ``owner`` is the flat index
-    of the nearest same-colour lattice point, taken per axis; ``owned``
-    marks the rows at this pass or finer whose owner is a sample of this
-    pass; ``member`` marks the colour's own samples.  Empty colours are
-    skipped.
+    congruent to (cy, cx) modulo ``stride``.  A row is owned when it sits
+    at this pass or finer and its nearest same-colour lattice point, taken
+    per axis, is a sample of this pass; that point is its owner.
+    ``member`` holds the flat indices of the colour's own samples,
+    ``owned`` marks the owned rows and ``owners`` holds the flat index of
+    each one's owner, in row-major order; ``stray`` marks the rows at this
+    pass or finer that are not owned.  Empty colours are skipped.
     """
     n = passes.shape[0]
     step = (n - 1) >> level
@@ -234,14 +242,23 @@ def _pass_colours(passes, level: int, stride: int):
         near = c * step + span * ((2 * (k - c * step) + span) // (2 * span))
         inside = (near >= 0) & (near < n)
         near = np.where(inside, near, 0)
-        axes.append((near, inside, first[near] == level, near == k))
+        axes.append((near, inside, first[near] == level, np.flatnonzero(near == k)))
     reached = passes >= level
-    for oy, in_y, new_y, self_y in axes:
-        for ox, in_x, new_x, self_x in axes:
+    for oy, in_y, new_y, on_y in axes:
+        for ox, in_x, new_x, on_x in axes:
             owned = (in_y[:, None] & in_x[None, :]) & (new_y[:, None] | new_x[None, :]) & reached
-            member = owned & self_y[:, None] & self_x[None, :]
-            if member.any():
-                yield oy[:, None] * n + ox[None, :], owned, member
+            member = (on_y[:, None] * n + on_x)[owned[np.ix_(on_y, on_x)]]
+            if member.size:
+                yield member, owned, (oy[:, None] * n + ox)[owned], reached & ~owned
+
+
+def _probe_colours(passes, space: str):
+    """(level, stride, *colour) for every colour of every pass, coarse to fine."""
+    p = scale_count(passes.shape[0])
+    for level in range(p + 1):
+        stride = FINEST_PROBE_STRIDE if level == p else PROBE_STRIDE[space]
+        for colour in _pass_colours(passes, level, stride):
+            yield level, stride, *colour
 
 
 def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
@@ -257,9 +274,17 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     finer pass also gets that square, as its entry against the owner.
     That takes about stride**2 probes per pass (``PROBE_STRIDE``, and
     ``FINEST_PROBE_STRIDE`` at the finest pass), O(N log N) work in all.
-    Probes go through A ``batch_size`` grids at a time; by default as many
-    as fit ``PROBE_BATCH_BYTES``, and at least ``PROBE_BATCH_FLOOR``.
-    Each pass logs one INFO progress line, and the build one summary.
+
+    The colours of all passes go through A as one stream of ``batch_size``
+    grids at a time (by default as many as fit ``PROBE_BATCH_BYTES``, and
+    at least ``PROBE_BATCH_FLOOR``); only the last batch may be smaller,
+    so the multiscale maps bind at most two programs per build.  One basis
+    stack, sized by the first batch, is refilled in place, and a u-space
+    ``NormalOperator`` gets one screen buffer of the same size.  Colours
+    are formed lazily, one batch at a time.  Each pass logs one INFO
+    progress line when its last probe is read, timed from the previous
+    pass's line (a batch that spans two passes counts toward the first),
+    and the build one summary with its batch count and largest stack.
 
     A row with no owner must read exactly zero; a nonzero there means
     the operator couples farther than the pass's stride allows, and
@@ -270,41 +295,65 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     size = n * n
     if batch_size is None:
         batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * size))
-    elif not isinstance(batch_size, numbers.Integral) or batch_size < 1:
+    elif not is_integer(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
-    start = time.perf_counter()
+    start = pass_start = time.perf_counter()
     passes = _sample_passes(p)
-    diag = np.zeros((n, n))
+    diag = np.zeros(size)
     rowsq = np.zeros(size)
-    probes = 0
-    for level in range(p + 1):
-        pass_start = time.perf_counter()
-        stride = FINEST_PROBE_STRIDE if level == p else PROBE_STRIDE[op.space]
-        reached = passes >= level
-        finer = np.zeros((n, n))
-        colours = _pass_colours(passes, level, stride)
-        pass_probes = 0
-        while batch := list(itertools.islice(colours, batch_size)):
-            basis = np.zeros((len(batch), n, n))
-            for grid, (_, _, member) in zip(basis, batch):
-                grid[member] = 1.0
-            for y, (owner, owned, member) in zip(op.apply(basis), batch):
-                if np.any(y[reached & ~owned]):
-                    raise RuntimeError(
-                        f"pass {level} probe reached a row outside the probe stride {stride}"
-                    )
-                sq = y * y
-                diag[member] = y[member]
-                rowsq += np.bincount(owner[owned], sq[owned], minlength=size)
-                finer += sq
-            pass_probes += len(batch)
-        rowsq += np.where(passes > level, finer, 0.0).ravel()
-        probes += pass_probes
+    finer = np.zeros((n, n))  # squares read at the current pass, for its finer rows
+    sq = np.empty((n, n))
+    level = stride = None
+    pass_probes = probes = batches = 0
+    basis = screen = None
+
+    def finish_pass():
+        # A row from a strictly finer pass gets every square it read.
+        rowsq[...] += np.where(passes > level, finer, 0.0).ravel()
+        finer[...] = 0.0
         log.info("%s-space probe pass %d/%d: stride %d, %d probes in %.3f s",
                  op.space, level, p, stride, pass_probes, time.perf_counter() - pass_start)
-    log.info("built %s-space preconditioner statistics at p=%d: %d probes in %.3f s",
-             op.space, p, probes, time.perf_counter() - start)
-    return diag, rowsq.reshape(n, n)
+
+    stream = _probe_colours(passes, op.space)
+    while batch := list(itertools.islice(stream, batch_size)):
+        if basis is None:
+            # The first batch is the largest: every later one is as large
+            # or is the stream's last.
+            basis = np.zeros((len(batch), n, n))
+            if isinstance(op, NormalOperator) and op.space == "u":
+                screen = np.empty_like(basis)
+        grids = basis[: len(batch)]
+        flat = grids.reshape(len(batch), size)
+        for row, (_, _, member, *_) in zip(flat, batch):
+            row[member] = 1.0
+        if screen is None:
+            ys = op.apply(grids)
+        else:
+            ys = op.apply(grids, screen=screen[: len(batch)])
+        for row, y, (colour_level, colour_stride, member, owned, owners, stray) in zip(
+                flat, ys, batch):
+            if colour_level != level:
+                if level is not None:
+                    finish_pass()
+                    pass_start = time.perf_counter()
+                level, stride, pass_probes = colour_level, colour_stride, 0
+            if np.any(y[stray]):
+                raise RuntimeError(
+                    f"pass {level} probe reached a row outside the probe stride {stride}"
+                )
+            np.multiply(y, y, out=sq)
+            diag[member] = y.reshape(size)[member]
+            rowsq += np.bincount(owners, sq[owned], minlength=size)
+            finer += sq
+            row[member] = 0.0
+            pass_probes += 1
+        probes += len(batch)
+        batches += 1
+    finish_pass()
+    log.info("built %s-space preconditioner statistics at p=%d: %d probes in %d batches "
+             "of at most %d grids (%d KiB) in %.3f s", op.space, p, probes, batches,
+             basis.shape[0], basis.nbytes >> 10, time.perf_counter() - start)
+    return diag.reshape(n, n), rowsq.reshape(n, n)
 
 
 def jacobi_preconditioner(diag, space: str) -> DiagonalPreconditioner:
@@ -511,6 +560,8 @@ class Reconstructor:
     """
 
     def __init__(self, p: int, r0: float = 1.0, cache_dir=None):
+        if not is_integer(p):
+            raise ValueError(f"p must be an integer, got {p!r}")
         self.p = int(p)
         self.n = (1 << self.p) + 1
         self.r0 = float(r0)

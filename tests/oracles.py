@@ -266,3 +266,29 @@ def exhaustive_diagonal_stats(apply_fn, n, batch_size=None):
         diag[idx] = out[np.arange(idx.size), idx]
         rowsq[idx] = np.einsum("ij,ij->i", out, out)
     return diag.reshape(n, n), rowsq.reshape(n, n)
+
+
+def reference_pupil(n, obscuration=1.0 / 3.0):
+    """(sample_mask, subap_x, subap_y) of ``make_pupil``, built from a full
+    coordinate grid and one fancy-indexed write per corner."""
+    yy, xx = np.mgrid[0:n, 0:n]
+    s = (2 * xx - (n - 1)) ** 2 + (2 * yy - (n - 1)) ** 2
+    inside = (s <= (n - 1) ** 2) & (s >= (obscuration * (n - 1)) ** 2)
+    valid = inside[:-1, :-1] & inside[:-1, 1:] & inside[1:, :-1] & inside[1:, 1:]
+    sy, sx = np.nonzero(valid)
+    mask = np.zeros((n, n), dtype=bool)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            mask[sy + dy, sx + dx] = True
+    return mask, sx, sy
+
+
+def reference_residual_stats(w_hat, w_true, pupil):
+    """``residual_stats`` with the whole difference formed before the
+    pupil samples are gathered."""
+    d = np.asarray(w_hat, dtype=float) - w_true
+    e = d.reshape(d.shape[:-2] + (-1,)).take(pupil.sample_index, axis=-1)
+    count = e.shape[-1]
+    e -= np.add.reduce(e, axis=-1, keepdims=True) / count
+    var = np.add.reduce(e * e, axis=-1) / count
+    return np.sqrt(var), var

@@ -190,6 +190,19 @@ def test_experiment_spec_validation():
             ExperimentSpec(p=3, noise_std=value)
 
 
+@pytest.mark.parametrize("trials", [2.5, 2.0, True])
+def test_experiment_spec_rejects_a_non_integer_trials(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        ExperimentSpec(p=3, trials=trials)
+
+
+@pytest.mark.parametrize("p", [3.5, 4.0, np.float64(4.0), True])
+def test_experiment_spec_rejects_a_non_integer_p(p):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        ExperimentSpec(p=p)
+    assert ExperimentSpec(p=np.int64(4)).p == 4
+
+
 def test_simulation_builds_preconditioner_once(tmp_path, monkeypatch):
     # noise_std**2 and noise_std * noise_std differ by one ULP here, so a
     # preconditioner keyed on the former would never serve the slopes.

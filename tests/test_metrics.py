@@ -13,6 +13,8 @@ from fracwave.metrics import (
 )
 from fracwave.sensor import make_pupil
 
+from oracles import reference_residual_stats
+
 
 # -- counters ---------------------------------------------------------------
 
@@ -74,6 +76,42 @@ def test_residual_stats_match_direct_formula():
     rms, var = residual_stats(w_hat, w_true, pup)
     assert var == pytest.approx(float(np.mean(e * e)), rel=1e-12)
     assert rms == pytest.approx(np.sqrt(var), rel=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 65])
+def test_residual_stats_keep_the_bits_of_the_full_difference(n):
+    pup = make_pupil(n)
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(8, n, n))
+    truth = rng.normal(size=(8, n, n))
+    inner = np.argwhere(pup.sample_mask)
+    outer = np.argwhere(~pup.sample_mask)
+    for (y, x), value in zip(inner[:3], (np.inf, -np.inf, np.nan)):
+        stack[1, y, x] = value  # inf and NaN inside the pupil
+    for (y, x), value in zip(outer[:3], (np.inf, -np.inf, np.nan)):
+        stack[2, y, x] = value  # and outside it
+    truth[3, inner[5][0], inner[5][1]] = np.nan
+    cases = [
+        (stack, truth),
+        (stack, truth[0]),          # one truth for a stack
+        (stack[4], truth),          # one estimate against a stack
+        (stack[0], truth[0]),
+        (stack[:, None], truth[:3]),  # (8, 1) against (3,) leading axes
+        (np.zeros((n, n)), truth[5]),
+    ]
+    for w_hat, w_true in cases:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = residual_stats(w_hat, w_true, pup)
+            want = reference_residual_stats(w_hat, w_true, pup)
+        for a, b in zip(got, want):
+            assert _same_bits(np.asarray(a), np.asarray(b))
+    with np.errstate(invalid="ignore"):
+        _, var = residual_stats(stack, truth, pup)
+    assert np.isnan(var[[1, 3]]).all() and np.isfinite(var[[0, 2]]).all()
 
 
 def test_strehl_ratio():

@@ -6,7 +6,7 @@ import pytest
 from fracwave.metrics import FlopCounter
 from fracwave.sensor import ShackHartmann, SlopeSet, make_pupil, simulate_measurements
 
-from oracles import dense_sensor_matrix
+from oracles import dense_sensor_matrix, reference_pupil
 
 # side: (valid subapertures, shared cell edges, active corner samples)
 FROZEN_COUNTS = {9: (20, 30, 40), 33: (620, 662, 704), 65: (2680, 2764, 2848)}
@@ -44,6 +44,15 @@ def test_pupil_matches_recount(n):
     expected = recount_subapertures(n, pup.obscuration)
     got = sorted(zip(pup.subap_x.tolist(), pup.subap_y.tolist()))
     assert got == sorted(expected)
+
+
+@pytest.mark.parametrize("obscuration", [1.0 / 3.0, 0.0])
+def test_pupil_matches_reference_construction(obscuration):
+    for n in range(3, 258):
+        pup = make_pupil(n, obscuration)
+        mask, sx, sy = reference_pupil(n, obscuration)
+        assert np.array_equal(pup.sample_mask, mask), n
+        assert np.array_equal(pup.subap_x, sx) and np.array_equal(pup.subap_y, sy), n
 
 
 def test_tiny_grids_have_no_valid_subaperture():

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,15 +218,55 @@ def test_colored_probe_count_grows_by_a_constant_per_pass(space, stride):
                 or op.largest == PROBE_BATCH_FLOOR)
     assert counts == PROBE_COUNTS[space]
     assert np.diff(counts[1:]).tolist() == [stride * stride] * 3
-    assert largest[2:] == [min(31, stride * stride), 7, 4]
+    assert largest[2:] == [7, 4, 4]
 
 
-@pytest.mark.parametrize("batch_size", [0, -1, 2.5])
+@pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
 def test_colored_probe_rejects_a_bad_batch_size(batch_size):
     op = GridCounter(3, "u")
     with pytest.raises(ValueError, match="batch_size"):
         operator_diagonal_stats(op, batch_size=batch_size)
     assert op.grids == 0
+
+
+def test_warm_probe_build_fits_a_small_working_set(tmp_path):
+    rec = Reconstructor(6, cache_dir=tmp_path)
+    A = rec.system(np.ones(rec.pupil.nsub), "u")
+    operator_diagonal_stats(A)  # sizes the multiscale maps' workspace
+    tracemalloc.start()
+    try:
+        operator_diagonal_stats(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20
+
+
+@pytest.mark.parametrize("space, maps", [("u", [(False, False), (True, False)]),
+                                         ("w", [(False, True), (True, True)])])
+def test_probe_build_binds_each_map_at_most_twice(space, maps, tmp_path, monkeypatch, caplog):
+    rec = Reconstructor(6, cache_dir=tmp_path)
+    A = rec.system(np.ones(rec.pupil.nsub), space)
+    bound = []
+    steps = FractalOperator._steps
+
+    def counting(self, transpose, inverse):
+        bound.append((transpose, inverse))
+        return steps(self, transpose, inverse)
+
+    monkeypatch.setattr(FractalOperator, "_steps", counting)
+    with caplog.at_level(logging.INFO, logger="fracwave"):
+        operator_diagonal_stats(A)
+    assert set(bound) == set(maps)
+    assert all(bound.count(key) <= 2 for key in maps)
+    *passes, build = [r.getMessage() for r in caplog.records]
+    strides = [solver.PROBE_STRIDE[space]] * 6 + [solver.FINEST_PROBE_STRIDE]
+    assert [f"pass {level}/6: stride {stride}, " in line
+            for level, (line, stride) in enumerate(zip(passes, strides))] == [True] * 7
+    # 267 or 124 probes in batches of 7 grids of 65 x 65.
+    probes = PROBE_COUNTS[space][2]
+    assert sum(int(line.split(", ")[1].split()[0]) for line in passes) == probes
+    assert f"{probes} probes in {-(-probes // 7)} batches of at most 7 grids (231 KiB)" in build
 
 
 def _coupling_radii(A):
@@ -482,9 +523,23 @@ def test_solver_config_validation():
         SolverConfig("gauss-seidel")
     with pytest.raises(ValueError, match="max_iter"):
         SolverConfig(max_iter=0)
+    assert SolverConfig(max_iter=np.int64(5)).max_iter == 5
     for tol in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, "3"])
+def test_solver_config_rejects_a_non_integer_max_iter(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverConfig(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("p", [3.7, 3.0, True])
+def test_reconstructor_rejects_a_non_integer_p(p, tmp_path):
+    with pytest.raises(ValueError, match="p must be an integer"):
+        Reconstructor(p, cache_dir=tmp_path)
+    assert Reconstructor(np.int64(3), cache_dir=tmp_path).p == 3
 
 
 def test_reconstruct_matches_dense_solution(system, tmp_path):
