@@ -9,9 +9,8 @@ iteration.
 from .fractal import (CoefficientError, FractalOperator, OuterOperator,
                       ScaleCoefficients, build_coefficients,
                       build_outer_operator, scale_count)
-from .harness import (BenchRow, ExperimentSpec, SimulationResult, draw_screen,
-                      run_bench, run_sf_validation, run_simulation,
-                      trial_generator)
+from .harness import (ExperimentSpec, SimulationResult, draw_screen,
+                      run_sf_validation, run_simulation, trial_generator)
 from .metrics import (FlopCounter, empirical_structure_function,
                       fractal_apply_flops, radial_profile, residual_stats,
                       strehl_ratio)

@@ -2,8 +2,9 @@
 
 Subcommands cover the full loop: ``generate`` a screen, ``sense`` it
 into noisy slopes, ``reconstruct`` a wavefront from slopes, and the
-batch drivers ``simulate`` (Monte-Carlo convergence curves),
-``validate-sf`` (screen statistics) and ``bench`` (operation counts).
+batch drivers ``simulate`` (Monte-Carlo convergence curves) and
+``validate-sf`` (screen statistics).  ``reconstruct`` reports its flops
+per sample by operator family on stderr.
 Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.  ``-v``
 before the subcommand prints the ``fracwave`` logger's INFO records, such
 as a preconditioner build's progress per probe pass, on stderr.
@@ -19,29 +20,12 @@ import numpy as np
 
 from . import fileio
 from .fractal import FractalOperator, scale_count
-from .harness import (ExperimentSpec, draw_screen, run_bench, run_simulation,
-                      run_sf_validation, trial_generator)
+from .harness import (ExperimentSpec, draw_screen, run_simulation, run_sf_validation,
+                      trial_generator)
+from .metrics import FlopCounter
 from .sensor import make_pupil, simulate_measurements
 from .solver import VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
-
-
-def _parse_scales(text: str) -> list[int]:
-    """Scale counts from '5:8' (inclusive range) or '5,6,7' (list)."""
-    text = text.strip()
-    try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        scales = [int(tok) for tok in text.split(",") if tok]
-        if not scales:
-            raise ValueError
-        return scales
-    except ValueError:
-        raise ValueError(f"cannot parse scale list {text!r}; use e.g. '5:8' or '5,6,7'") from None
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -92,7 +76,8 @@ def cmd_reconstruct(args) -> int:
         raise ValueError("grid size unknown: pass --p or use a slope file written by 'sense'")
     recon = Reconstructor(p, args.r0)
     config = SolverConfig(args.method, args.max_iter, args.tol)
-    w_hat, trace = recon.reconstruct(slopes, config)
+    counter = FlopCounter()
+    w_hat, trace = recon.reconstruct(slopes, config, counter=counter)
     fileio.write_grid(args.out, w_hat)
     run_meta = {"cmd": "reconstruct", "p": p, "r0": args.r0, "method": args.method,
                 "max_iter": args.max_iter, "tol": args.tol}
@@ -103,6 +88,12 @@ def cmd_reconstruct(args) -> int:
         f"wrote {args.out}: {trace.iterations[-1]} iterations ({status}), "
         f"{trace.total_flops} flops", file=sys.stderr,
     )
+    tallies = counter.tallies()
+    samples = recon.n * recon.n
+    per_sample = " ".join(f"{family}={tallies.get(family, 0) / samples:.2f}"
+                          for family in ("fractal", "sensor", "noise", "vector", "precond"))
+    print(f"flops per sample: {per_sample} total={trace.total_flops / samples:.2f}",
+          file=sys.stderr)
     return 0
 
 
@@ -140,24 +131,6 @@ def cmd_validate_sf(args) -> int:
     worst = float(np.max(np.abs(result.measured[sel] / result.expected[sel] - 1.0)))
     print(f"wrote {args.out}: worst relative deviation {worst:.3%} for r in 2..{width}",
           file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    fileio.ensure_parent(args.out)
-    ps = _parse_scales(args.p)
-    rows = run_bench(ps, r0=args.r0, noise_std=args.noise_std,
-                     iterations=args.max_iter, seed=args.seed)
-    meta = {"cmd": "bench", "p": args.p, "r0": args.r0, "noise_std": args.noise_std,
-            "max_iter": args.max_iter, "seed": args.seed}
-    fileio.write_bench_csv(args.out, rows, meta)
-    print(f"wrote {args.out}: {len(rows)} rows over p={ps}", file=sys.stderr)
-    per_sample: dict[str, list[float]] = {}
-    for row in rows:
-        per_sample.setdefault(row.op, []).append(row.flops / row.samples)
-    print("flops per sample, min..max over p (flat means linear cost):", file=sys.stderr)
-    for op, values in per_sample.items():
-        print(f"  {op:<26} {min(values):.2f}..{max(values):.2f}", file=sys.stderr)
     return 0
 
 
@@ -222,15 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV of radial averages")
     sp.add_argument("--map", default=None, help="optional 2-D map output (grid format)")
     sp.set_defaults(func=cmd_validate_sf)
-
-    sp = sub.add_parser("bench", help="operation counts per operator")
-    sp.add_argument("--p", default="5:8", help="scale counts, e.g. '5:8' or '5,6,7' (default 5:8)")
-    sp.add_argument("--noise-std", type=float, default=1.0)
-    sp.add_argument("--max-iter", type=int, default=10,
-                    help="iterations of the benchmarked reconstruction (default 10)")
-    common(sp)
-    sp.add_argument("--out", required=True, help="output CSV")
-    sp.set_defaults(func=cmd_bench)
 
     return parser
 

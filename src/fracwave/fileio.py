@@ -168,15 +168,6 @@ def write_sf_csv(path, radii, measured, expected, meta: dict):
             writer.writerow([_fmt(r), _fmt(m), _fmt(t)])
 
 
-def write_bench_csv(path, rows, meta: dict):
-    fh, writer = _open_csv(path, meta)
-    with fh:
-        writer.writerow(["p", "n", "samples", "op", "flops", "flops_per_sample"])
-        for row in rows:
-            writer.writerow([row.p, row.n, row.samples, row.op, row.flops,
-                             _fmt(row.flops / row.samples)])
-
-
 def ensure_parent(path):
     parent = Path(path).resolve().parent
     if not parent.is_dir():

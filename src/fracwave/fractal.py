@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import threading
 
 import numpy as np
@@ -195,6 +196,11 @@ def build_outer_operator(sf, extent) -> OuterOperator:
     return OuterOperator(a=math.sqrt(a2), b=math.sqrt(b2), c=math.sqrt(c2))
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def scale_count(side: int) -> int:
     """Number of refinement passes p for a grid side 2**p + 1."""
     m = side - 1
@@ -280,6 +286,8 @@ class FractalOperator:
     """
 
     def __init__(self, sf, p: int):
+        if not is_integer(p):
+            raise ValueError(f"p must be an integer, got {p!r}")
         self.p = int(p)
         if self.p < 1:
             raise ValueError(f"need at least one refinement pass, got p={self.p}")

@@ -15,10 +15,10 @@ import math
 
 import numpy as np
 
-from .fractal import FractalOperator
+from .fractal import FractalOperator, is_integer
 from .metrics import FlopCounter, empirical_structure_function, radial_profile
 from .sensor import simulate_measurements
-from .solver import CHUNK_BYTES, VARIANTS, Reconstructor, SolverConfig, is_integer
+from .solver import CHUNK_BYTES, VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
 
 
@@ -155,49 +155,3 @@ def run_sf_validation(p: int, r0: float, trials: int, seed: int) -> SfValidation
     map2d = empirical_structure_function(screens)
     radii, measured, expected = radial_profile(map2d, theory=sf.evaluate)
     return SfValidation(radii=radii, measured=measured, expected=expected, map2d=map2d)
-
-
-@dataclasses.dataclass(frozen=True)
-class BenchRow:
-    p: int
-    n: int
-    samples: int
-    op: str
-    flops: int
-
-
-def run_bench(ps, r0: float = 1.0, noise_std: float = 1.0, iterations: int = 10,
-              seed: int = 0, method: str = "u-pcg-opt", cache_dir=None) -> list[BenchRow]:
-    """Operation counts per operator and for a full reconstruction."""
-    rows = []
-    for p in ps:
-        recon = Reconstructor(p, r0, cache_dir=cache_dir)
-        n = recon.n
-        samples = n * n
-        rng = trial_generator(seed, p)
-        w = draw_screen(recon.fractal, rng)
-        ops = [
-            ("fractal-forward", recon.fractal.apply),
-            ("fractal-transpose", recon.fractal.apply_transpose),
-            ("fractal-inverse", recon.fractal.apply_inverse),
-            ("fractal-inverse-transpose", recon.fractal.apply_inverse_transpose),
-        ]
-        for name, fn in ops:
-            counter = FlopCounter()
-            fn(w.copy(), counter)
-            rows.append(BenchRow(p, n, samples, name, counter.total))
-        counter = FlopCounter()
-        dx, dy = recon.sensor.forward(w, counter)
-        rows.append(BenchRow(p, n, samples, "sensor-forward", counter.total))
-        counter = FlopCounter()
-        recon.sensor.adjoint(dx, dy, counter)
-        rows.append(BenchRow(p, n, samples, "sensor-adjoint", counter.total))
-
-        slopes = simulate_measurements(w, recon.pupil, noise_std, rng)
-        config = SolverConfig(method, max_iter=iterations, tol=1e-30)
-        counter = FlopCounter()
-        recon.reconstruct(slopes, config, counter=counter)
-        rows.append(
-            BenchRow(p, n, samples, f"reconstruction-{iterations}iter", counter.total)
-        )
-    return rows

@@ -28,7 +28,6 @@ import hashlib
 import itertools
 import logging
 import math
-import numbers
 import os
 import tempfile
 import time
@@ -38,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fractal import FractalOperator, scale_count
+from .fractal import FractalOperator, is_integer, scale_count
 from .metrics import FlopCounter, residual_stats, strehl_ratio
 from .sensor import Pupil, ShackHartmann, SlopeSet, make_pupil
 from .turbulence import kolmogorov
@@ -54,11 +53,6 @@ VARIANTS = {
     "u-pcg-jac": ("u", "jacobi"),
     "u-pcg-opt": ("u", "optimal"),
 }
-
-
-def is_integer(value) -> bool:
-    """Whether ``value`` is an int or numpy integer, and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class IndefiniteOperatorError(RuntimeError):
@@ -556,7 +550,8 @@ class Reconstructor:
     file stores its full key and is rebuilt when it does not match.
     The disk cache lives in ``cache_dir``; None does not turn it off but
     picks ``$FRACWAVE_CACHE``, or ``~/.cache/fracwave`` when that is
-    unset or empty.
+    unset or empty.  A cache that cannot be written costs a warning, not
+    the solve.
     """
 
     def __init__(self, p: int, r0: float = 1.0, cache_dir=None):
@@ -612,15 +607,20 @@ class Reconstructor:
                 log.debug("preconditioner cache hit %s", path)
         if stats is None:
             stats = operator_diagonal_stats(self.system(inv_var, space))
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
-            os.close(fd)
+            tmp = None
             try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
+                os.close(fd)
                 np.savez(tmp, diag=stats[0], rowsq=stats[1], key=np.array(key),
                          version=np.array(CACHE_FORMAT))
                 os.replace(tmp, path)
+            except OSError as exc:
+                # An unusable cache location costs the next process a rebuild, not this solve.
+                log.warning("cannot write preconditioner cache entry %s, keeping the "
+                            "statistics in memory: %s", path, exc)
             finally:
-                if os.path.exists(tmp):
+                if tmp is not None and os.path.exists(tmp):
                     os.unlink(tmp)
         self._stats_cache[key] = stats
         return stats

@@ -1,5 +1,6 @@
 """Command-line pipeline: generate, sense, reconstruct, and friends."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 import fracwave
 from fracwave.cli import main
 from fracwave.fileio import read_grid, read_slopes_csv
-from fracwave.metrics import residual_stats
+from fracwave.metrics import FlopCounter, residual_stats
 from fracwave.sensor import make_pupil
+from fracwave.solver import Reconstructor, SolverConfig
 
 
 @pytest.fixture()
@@ -111,6 +113,44 @@ def test_reconstruct_rebuilds_corrupt_cache_entry(pipeline, monkeypatch):
     assert main(argv) == 0
     np.testing.assert_array_equal(read_grid(out), first)
     assert entry.read_bytes()[:2] == good[:2] == b"PK"
+
+
+def test_reconstruct_survives_an_unwritable_cache(pipeline, monkeypatch, caplog):
+    tmp_path, _, slopes = pipeline
+    cache = tmp_path / "not-a-directory"
+    cache.write_text("")
+    monkeypatch.setenv("FRACWAVE_CACHE", str(cache))
+    out = tmp_path / "estimate.bin"
+    assert main(["reconstruct", str(slopes), "--out", str(out)]) == 0
+    assert read_grid(out).shape == (9, 9)
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert "cannot write preconditioner cache entry" in warning and str(cache) in warning
+
+
+@pytest.mark.parametrize("method", ["u-pcg-opt", "w-cg"])
+def test_reconstruct_reports_flops_per_sample_by_family(pipeline, capsys, method):
+    tmp_path, _, slopes = pipeline
+    out = tmp_path / "estimate.bin"
+    argv = ["reconstruct", str(slopes), "--method", method, "--max-iter", "5",
+            "--tol", "1e-30", "--out", str(out)]
+    assert main(argv) == 0
+    *_, line = capsys.readouterr().err.splitlines()
+    prefix = "flops per sample: "
+    assert line.startswith(prefix)
+    fields = [field.split("=") for field in line[len(prefix):].split()]
+    assert [name for name, _ in fields] == [
+        "fractal", "sensor", "noise", "vector", "precond", "total"]
+    reported = dict(fields)
+
+    loaded, _ = read_slopes_csv(slopes)
+    counter = FlopCounter()
+    _, trace = Reconstructor(3).reconstruct(loaded, SolverConfig(method, 5, 1e-30),
+                                            counter=counter)
+    tallies = counter.tallies()
+    for name in ("fractal", "sensor", "noise", "vector", "precond"):
+        assert reported[name] == f"{tallies.get(name, 0) / 81:.2f}", name
+    assert reported["total"] == f"{trace.total_flops / 81:.2f}"
+    assert (reported["precond"] == "0.00") == (method == "w-cg")
 
 
 def test_verbose_logs_build_progress_on_stderr(pipeline, monkeypatch, capsys):
@@ -240,23 +280,6 @@ def test_simulate_refuses_a_grid_without_subapertures(tmp_path, capsys, recwarn,
     assert f"grid of side {side} holds no subaperture" in capsys.readouterr().err
     assert not curves.exists()
     assert not recwarn.list
-
-
-def test_bench_writes_rows(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--p", "2:3", "--max-iter", "2", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[1] == "p,n,samples,op,flops,flops_per_sample"
-    assert len(lines) > 2
-    # 6 - 14/N flops per sample at N = 25 and 81
-    assert "  fractal-forward            5.44..5.83" in capsys.readouterr().err.splitlines()
-
-
-def test_bench_rejects_an_empty_scale_list(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--p", ",", "--out", str(out)]) == 2
-    assert "cannot parse scale list ','" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_validation_failures_exit_2(tmp_path):

@@ -194,6 +194,14 @@ def test_rejects_nonpositive_depth(p):
         FractalOperator(sf, p)
 
 
+@pytest.mark.parametrize("p", [2.5, True, "2", np.float64(3.0)])
+def test_rejects_a_non_integer_depth(p):
+    sf = kolmogorov(1.0, 8.0)
+    with pytest.raises(ValueError, match="p must be an integer"):
+        FractalOperator(sf, p)
+    assert FractalOperator(sf, np.int64(3)).n == 9
+
+
 # -- outer 4 x 4 factor ----------------------------------------------------
 
 

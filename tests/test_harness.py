@@ -10,7 +10,6 @@ from fracwave.fractal import FractalOperator
 from fracwave.harness import (
     ExperimentSpec,
     draw_screen,
-    run_bench,
     run_sf_validation,
     run_simulation,
     trial_generator,
@@ -234,25 +233,3 @@ def test_sf_validation_consistent_with_profile():
     np.testing.assert_allclose(v.measured, measured)
     np.testing.assert_allclose(v.expected, expected)
     assert np.all(v.measured > 0) and np.all(v.expected > 0)
-
-
-def test_bench_rows(tmp_path):
-    rows = run_bench([3], iterations=2, cache_dir=tmp_path)
-    ops = [r.op for r in rows]
-    assert ops == [
-        "fractal-forward",
-        "fractal-transpose",
-        "fractal-inverse",
-        "fractal-inverse-transpose",
-        "sensor-forward",
-        "sensor-adjoint",
-        "reconstruction-2iter",
-    ]
-    for row in rows:
-        assert row.p == 3 and row.n == 9 and row.samples == 81
-        if row.op.startswith("fractal"):
-            assert row.flops == 6 * 81 - 14
-        if row.op.startswith("sensor"):
-            assert row.flops == 100
-        if row.op.startswith("reconstruction"):
-            assert row.flops > 0

@@ -11,14 +11,13 @@ from fracwave.fileio import (
     parse_comment,
     read_grid,
     read_slopes_csv,
-    write_bench_csv,
     write_curves_csv,
     write_grid,
     write_sf_csv,
     write_slopes_csv,
     write_trace_csv,
 )
-from fracwave.harness import BenchRow, ExperimentSpec, run_simulation
+from fracwave.harness import ExperimentSpec, run_simulation
 from fracwave.sensor import SlopeSet, make_pupil, simulate_measurements
 from fracwave.solver import Reconstructor, SolverConfig
 
@@ -203,19 +202,6 @@ def test_sf_csv_layout(tmp_path):
     assert lines[0] == "# fracwave trials=10"
     assert lines[1] == "r,D_measured,D_theory"
     assert len(lines) == 5
-
-
-def test_bench_csv_layout(tmp_path):
-    rows = [
-        BenchRow(p=3, n=9, samples=81, op="fractal-forward", flops=472),
-        BenchRow(p=3, n=9, samples=81, op="sensor-forward", flops=100),
-    ]
-    path = tmp_path / "bench.csv"
-    write_bench_csv(path, rows, {"seed": 0})
-    lines = path.read_text().splitlines()
-    assert lines[1] == "p,n,samples,op,flops,flops_per_sample"
-    assert lines[2].startswith("3,9,81,fractal-forward,472,")
-    assert len(lines) == 4
 
 
 def test_ensure_parent_validates_output_directory(tmp_path):

@@ -856,3 +856,39 @@ def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
         assert sorted(data.files) == sorted(arrays)
         for name, value in arrays.items():
             np.testing.assert_array_equal(data[name], value)
+
+
+@pytest.mark.parametrize("where", ["regular-file", "failed-replace"])
+def test_unwritable_cache_keeps_the_statistics_in_memory(system, tmp_path, caplog,
+                                                           monkeypatch, where):
+    _, _, _, _, _, slopes = system
+    config = SolverConfig("u-pcg-opt", max_iter=6, tol=1e-12)
+    w_ref, _ = Reconstructor(P, cache_dir=tmp_path / "good").reconstruct(slopes, config)
+    if where == "regular-file":
+        cache_dir = tmp_path / "not-a-directory"
+        cache_dir.write_text("")
+    else:
+        cache_dir = tmp_path / "bad"
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        monkeypatch.setattr(solver.os, "replace", refuse)
+    rec = Reconstructor(P, cache_dir=cache_dir)
+    with caplog.at_level(logging.WARNING, logger="fracwave"):
+        w_hat, _ = rec.reconstruct(slopes, config)
+    np.testing.assert_array_equal(w_hat, w_ref)
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert "cannot write preconditioner cache entry" in warning.getMessage()
+    assert str(cache_dir) in warning.getMessage()
+    if where == "regular-file":
+        assert cache_dir.read_text() == ""
+    else:
+        assert list(cache_dir.iterdir()) == []  # no temporary file left behind
+    # The statistics stay in memory: a second solve builds nothing and warns no more.
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="fracwave"):
+        w_again, _ = rec.reconstruct(slopes, config)
+    np.testing.assert_array_equal(w_again, w_ref)
+    assert not caplog.records
