@@ -23,7 +23,7 @@ from .fractal import FractalOperator, scale_count
 from .harness import (ExperimentSpec, draw_screen, run_simulation, run_sf_validation,
                       trial_generator)
 from .metrics import FlopCounter
-from .sensor import make_pupil, simulate_measurements
+from .sensor import make_pupil, pupil_side, simulate_measurements
 from .solver import VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
 
@@ -74,6 +74,12 @@ def cmd_reconstruct(args) -> int:
         p = int(meta["p"])
     else:
         raise ValueError("grid size unknown: pass --p or use a slope file written by 'sense'")
+    # Refuse a p the layout contradicts before building its n x n operators;
+    # the bound on p comes first, so a huge p is never shifted.
+    side = pupil_side(slopes.subap_x, slopes.subap_y)
+    if not 0 <= p < side.bit_length() or (1 << p) + 1 != side:
+        raise ValueError(f"p={p} does not match the slope file's subaperture layout: it "
+                         f"implies a grid side of {side}, not 2**{p} + 1")
     recon = Reconstructor(p, args.r0)
     config = SolverConfig(args.method, args.max_iter, args.tol)
     counter = FlopCounter()

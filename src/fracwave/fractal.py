@@ -378,7 +378,7 @@ class FractalOperator:
                         yield np.add, s, u, s
                 yield np.subtract if inverse else np.add, t, s, t
 
-    def _passes(self, W, transpose, inverse):
+    def _passes(self, W, transpose, inverse, first):
         if self._work is None or self._work.shape != W.shape:
             # The flat buffers only grow: fresh memory for each new stack
             # size costs a page fault per 4 KiB, more than binding does.
@@ -394,13 +394,25 @@ class FractalOperator:
         program = self._programs.get((transpose, inverse))
         if program is None:
             program = self._programs[transpose, inverse] = tuple(self._steps(transpose, inverse))
+        if first > 1:
+            # Every pass binds the same number of steps, so the passes from
+            # ``first`` on are a prefix of the program or a suffix of it.
+            cut = len(program) // self.p * (first - 1)
+            program = program[cut:] if transpose == inverse else program[: len(program) - cut]
         self._work[...] = W
         _run(program)
         W[...] = self._work
 
-    def _map(self, grid, counter, transpose, inverse):
+    def _map(self, grid, counter, transpose, inverse, first=0):
         # K and K^-T run the corner step first, K^-1 and K^T last; the
         # alpha0 scale always sits between it and the passes.
+        #
+        # From ``first`` > 0 on, a map runs only the passes >= first, as a
+        # slice of its bound program, and no corner step.  A gather (K,
+        # K^-1) of a grid that is zero below pass ``first`` is then exact
+        # on every row: the skipped steps only move zeros.  A scatter (K^T,
+        # K^-T) is exact on the rows of pass ``first`` or finer, which no
+        # skipped step writes.  The probe runs it with no counter.
         W = self._grid(grid)
         scale = np.divide if inverse else np.multiply
         M = self._corner_matrix[transpose, inverse]
@@ -408,13 +420,15 @@ class FractalOperator:
             raise RuntimeError("FractalOperator is already running a map in another thread")
         try:
             if transpose == inverse:
-                self._corners(W, M)
+                if not first:
+                    self._corners(W, M)
                 scale(W, self._alpha0, out=W)
-                self._passes(W, transpose, inverse)
+                self._passes(W, transpose, inverse, first)
             else:
-                self._passes(W, transpose, inverse)
+                self._passes(W, transpose, inverse, first)
                 scale(W, self._alpha0, out=W)
-                self._corners(W, M)
+                if not first:
+                    self._corners(W, M)
         finally:
             self._lock.release()
         self._charge(W, counter)

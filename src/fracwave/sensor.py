@@ -70,6 +70,15 @@ def make_pupil(n: int, obscuration: float = 1.0 / 3.0) -> Pupil:
     return Pupil(n=n, obscuration=obscuration, sample_mask=mask, subap_x=sx, subap_y=sy)
 
 
+def pupil_side(subap_x, subap_y) -> int:
+    """Grid side n of the ``make_pupil`` layout that these subaperture
+    indices would come from.  For every p = 3..10, ``make_pupil(2**p + 1)``
+    places its subapertures at indices 1..n - 3 on both axes, so n is the
+    largest index plus 3.  Any other layout still fails the exact
+    comparison of ``Reconstructor.check_slopes``."""
+    return int(max(np.max(subap_x), np.max(subap_y))) + 3
+
+
 @dataclasses.dataclass
 class SlopeSet:
     """Measured slopes and their noise variances, one row per subaperture.

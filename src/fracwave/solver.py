@@ -109,20 +109,29 @@ class NormalOperator:
         self.n = fractal.n
         self._cells = sensor.cell_weights(inv_var)
 
-    def apply(self, x, counter=None, screen=None) -> np.ndarray:
+    def apply(self, x, counter=None, screen=None, *, _first_pass=0) -> np.ndarray:
         """A x.  In u-space, ``screen`` may name a float64 array of x's
         shape to hold the screen K x that A_u forms on the way: it serves
         as that working buffer in place of a fresh copy of x, so the
         caller reads K x there afterwards with no copy and no second map.
         A x is the same either way.
+
+        ``_first_pass`` serves the preconditioner probe: for an x that is
+        zero below that refinement pass, the multiscale maps run only the
+        passes from it on (``FractalOperator._map``), and A x is exact on
+        the rows of that pass or finer only.  Such an application takes no
+        counter.
         """
         x = np.asanyarray(x, dtype=float)
+        if _first_pass and counter is not None:
+            raise ValueError("a pass-trimmed application is not charged")
+        gather, scatter = self._maps(_first_pass)
         if self.space == "w":
             if screen is not None:
                 raise ValueError("only a u-space operator forms a screen K x")
             out = x.copy()
-            self.fractal.apply_inverse(out, counter)
-            self.fractal.apply_inverse_transpose(out, counter)
+            gather(out, counter)
+            scatter(out, counter)
             out += self.sensor.gram(x, self._cells, counter)
         else:
             if screen is None:
@@ -131,13 +140,26 @@ class NormalOperator:
                 raise ValueError(f"screen buffer has shape {screen.shape}, expected {x.shape}")
             else:
                 screen[...] = x
-            self.fractal.apply(screen, counter)
+            gather(screen, counter)
             out = self.sensor.gram(screen, self._cells, counter)
-            self.fractal.apply_transpose(out, counter)
+            scatter(out, counter)
             out += x
         if counter is not None:
             counter.add("vector", x.size)
         return out
+
+    def _maps(self, first):
+        """(K, K^T) in u-space or (K^-1, K^-T) in w-space, each called as
+        map(grid, counter); with ``first`` > 0 they run the passes from
+        ``first`` on only."""
+        f = self.fractal
+        inverse = self.space == "w"
+        if not first:
+            if inverse:
+                return f.apply_inverse, f.apply_inverse_transpose
+            return f.apply, f.apply_transpose
+        return tuple(functools.partial(f._map, transpose=transpose, inverse=inverse, first=first)
+                     for transpose in (False, True))
 
     def rhs(self, slopes, counter=None) -> np.ndarray:
         """Stack of right-hand sides b, one per slope set of a sequence."""
@@ -167,24 +189,50 @@ class DiagonalPreconditioner:
         return self.values * r
 
 
-# Colour stride of a probe pass, in lattice steps h of that pass.  A
-# column placed at a pass couples to rows placed at that pass or any finer
-# one within some Chebyshev radius r; same-colour columns sit stride steps
-# apart, so each such row sees at most one of them when 2 * r + 1 <=
-# stride.  An even stride fails: a row exactly at the radius ties between
-# two columns.
+# Probe colours.  Pass L >= 1 places samples of three types on the
+# lattice of step h = (n - 1) / 2**L, told apart by the parity of their
+# lattice coordinates (y / h, x / h): cell centres C are odd on both axes,
+# row-edge midpoints R even then odd, column-edge midpoints V odd then
+# even.  Each type sits on its own sub-lattice of step 2h.  A column
+# couples to rows of its pass or finer within a reach of (|dy|, |dx|)
+# lattice steps, which depends on its type and pass.  Each type is
+# coloured on its own sub-lattice with per-axis strides of floor(reach) + 1
+# sub-lattice steps: same-colour columns then sit more than twice the reach
+# apart on that axis, so a row that one of them reaches is nearer to it
+# than to any other, per axis, and no other reaches it.
 #
-# At the finest pass (h = 1) r = 2 in both spaces.  K moves a centre
-# generator only onto its four adjacent edge midpoints and an edge
-# generator nowhere, so K e_j lies within 1 of j and is j alone for an
-# edge; S^T W S couples only samples that share a cell, within 1.  Two
-# finest columns thus couple within 1 + 1 + 1 = 3 steps when both are
-# centres and within 2 otherwise, and centre-centre offsets are even, so
-# within 2.  Interior u-space passes reach r = 4 on the dense operator at
-# every pass whose lattice is wide enough (tested for p = 2..6), so they
-# keep stride 9, and stride 7 is unsound there; w-space passes reach 2.
-PROBE_STRIDE = {"u": 9, "w": 5}
-FINEST_PROBE_STRIDE = 5
+# At the finest pass (h = 1) the reach is derived.  K and K^-1 move a
+# centre column only onto its four adjacent edge midpoints and an edge
+# column nowhere; K^T and K^-T bring a finest row only its own sample and,
+# for a centre, its four adjacent edges; S^T W S couples samples that
+# share a cell, within 1 on each axis.  In u-space a centre column thus
+# spreads within 2 on each axis (K, then S^T W S), which edge rows read
+# directly and centre rows, at even offsets, read through an adjacent edge:
+# reach (2, 2).  An R column spreads within 1; centre rows sit at odd dy
+# and even dx, so only dy = 1 and dx <= 2 read an edge within it: reach
+# (1, 2), and (2, 1) for V.  In w-space the prior term K^-T K^-1 takes a
+# centre column 2 steps along one axis and an edge column only onto its
+# two adjacent centres, so C reaches (2, 2) and R and V (1, 1).  The other
+# passes' reaches are measured on the dense operator (``probe_reach`` in
+# tests/oracles.py), on the annular pupil and with every cell weighted;
+# the tests check them for p = 2..6.  Rows: passes 1 .. p - 2, pass p - 1,
+# pass p.
+PROBE_REACH = {
+    "u": ({"C": (4, 4), "R": (3, 4), "V": (4, 3)},
+          {"C": (4, 4), "R": (3, 2), "V": (2, 3)},
+          {"C": (2, 2), "R": (1, 2), "V": (2, 1)}),
+    "w": ({"C": (2, 2), "R": (1, 1), "V": (1, 1)},) * 3,
+}
+
+# Parities of each type's lattice coordinates (y, x); 1 is odd.
+_TYPES = {"C": (1, 1), "R": (0, 1), "V": (1, 0)}
+
+
+def probe_strides(space: str, level: int, p: int) -> dict[str, tuple[int, int]]:
+    """Colour strides (rows, columns) of each sample type at pass
+    ``level`` >= 1 of a 2**p + 1 grid, in sub-lattice steps."""
+    reach = PROBE_REACH[space][max(0, level - p + 2)]
+    return {kind: (math.floor(dy) + 1, math.floor(dx) + 1) for kind, (dy, dx) in reach.items()}
 
 # Bytes of one (batch, n, n) float64 grid stack, for trial chunks in
 # run_simulation; one operator application holds several such stacks, a
@@ -201,145 +249,153 @@ PROBE_BATCH_BYTES = 1 << 18
 PROBE_BATCH_FLOOR = 4
 
 
-def _sample_passes(p: int) -> np.ndarray:
-    """Refinement pass that places each sample of a (2**p + 1)-side grid.
+def _axis_colours(n: int, origin: int, count: int, spacing: int, stride: int):
+    """Colours along one axis of the points origin + spacing * i, i < count.
 
-    The four corners are pass 0; pass L places the samples of the lattice
-    with step 2**(p - L) that no coarser lattice holds.
+    Colour c holds the points with i = c modulo ``stride``.  Every grid
+    index 0..n-1 goes to the colour's nearest point, on its lattice
+    extended past the grid; the indices whose nearest point exists form
+    the colour's owned range, one contiguous run per member.  Yields
+    (members, owned, starts): the members and the owned range as slices,
+    and the offsets in the owned range where the members' runs start.
     """
-    n = (1 << p) + 1
-    valuation = np.array([p if i == 0 else (i & -i).bit_length() - 1 for i in range(n)])
-    return p - np.minimum.outer(valuation, valuation)
-
-
-def _pass_colours(passes, level: int, stride: int):
-    """Colour classes of one pass as (member, owned, owners, stray).
-
-    Colour (cy, cx) holds the pass's samples at lattice coordinates
-    congruent to (cy, cx) modulo ``stride``.  A row is owned when it sits
-    at this pass or finer and its nearest same-colour lattice point, taken
-    per axis, is a sample of this pass; that point is its owner.
-    ``member`` holds the flat indices of the colour's own samples,
-    ``owned`` marks the owned rows and ``owners`` holds the flat index of
-    each one's owner, in row-major order; ``stray`` marks the rows at this
-    pass or finer that are not owned.  Empty colours are skipped.
-    """
-    n = passes.shape[0]
-    step = (n - 1) >> level
-    span = stride * step
+    span = spacing * stride
     k = np.arange(n)
-    # A lattice point is placed at the later of the passes that place its
-    # two coordinates on an axis; row 0 holds those per-coordinate passes.
-    first = passes[0]
-    axes = []
-    for c in range(min(stride, (1 << level) + 1)):
-        near = c * step + span * ((2 * (k - c * step) + span) // (2 * span))
-        inside = (near >= 0) & (near < n)
-        near = np.where(inside, near, 0)
-        axes.append((near, inside, first[near] == level, np.flatnonzero(near == k)))
-    reached = passes >= level
-    for oy, in_y, new_y, on_y in axes:
-        for ox, in_x, new_x, on_x in axes:
-            owned = (in_y[:, None] & in_x[None, :]) & (new_y[:, None] | new_x[None, :]) & reached
-            member = (on_y[:, None] * n + on_x)[owned[np.ix_(on_y, on_x)]]
-            if member.size:
-                yield member, owned, (oy[:, None] * n + ox)[owned], reached & ~owned
+    for c in range(min(stride, count)):
+        first = origin + spacing * c
+        members = len(range(c, count, stride))
+        nearest = (2 * (k - first) + span) // (2 * span)
+        bounds = np.searchsorted(nearest, np.arange(members + 1))
+        yield (slice(first, first + span * (members - 1) + 1, span),
+               slice(bounds[0], bounds[-1]), bounds[:-1] - bounds[0])
 
 
-def _probe_colours(passes, space: str):
-    """(level, stride, *colour) for every colour of every pass, coarse to fine."""
-    p = scale_count(passes.shape[0])
-    for level in range(p + 1):
-        stride = FINEST_PROBE_STRIDE if level == p else PROBE_STRIDE[space]
-        for colour in _pass_colours(passes, level, stride):
-            yield level, stride, *colour
+def _probe_colours(n: int, space: str):
+    """(level, y colour, x colour) for every colour of every pass, coarse
+    to fine, each axis colour as ``_axis_colours`` yields it.  Pass 0 is
+    four single-corner colours, each owning the whole grid."""
+    p = scale_count(n)
+    corners = [(slice(k, k + 1), slice(0, n), np.zeros(1, dtype=np.intp)) for k in (0, n - 1)]
+    for y, x in itertools.product(corners, corners):
+        yield 0, y, x
+    for level in range(1, p + 1):
+        step = (n - 1) >> level
+        centres = 1 << (level - 1)  # per axis; edge lines are one more
+        for kind, strides in probe_strides(space, level, p).items():
+            y, x = (_axis_colours(n, odd * step, centres + 1 - odd, 2 * step, stride)
+                    for odd, stride in zip(_TYPES[kind], strides))
+            for y_colour, x_colour in itertools.product(y, x):
+                yield level, y_colour, x_colour
+
+
+def _outside(y, rows: slice, cols: slice) -> int:
+    """Nonzero entries of the grid y outside the block rows x cols."""
+    return (np.count_nonzero(y[: rows.start]) + np.count_nonzero(y[rows.stop:])
+            + np.count_nonzero(y[rows, : cols.start]) + np.count_nonzero(y[rows, cols.stop:]))
 
 
 def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     """diag(A) and row square-sums of a normal operator by colored probing.
 
     Column-partition probing (Curtis, Powell & Reid 1974), with colours
-    taken from the refinement passes.  Each probe applies A to the sum of
-    one colour's columns.  A row placed at that pass or finer meets at
-    most one of them, its owner, so it reads the entry A[row, owner]
+    taken from the refinement passes and, within a pass, from each sample
+    type's sub-lattice (see ``PROBE_REACH``).  Each probe applies A to the
+    sum of one colour's columns.  A row placed at that pass or finer meets
+    at most one of them, its owner, so it reads the entry A[row, owner]
     exactly.  Rows from coarser passes are skipped: A is symmetric, so
     their entries are read from the coarser probe instead.  The owner
-    gets the square of every entry it is read from.  A row from a strictly
-    finer pass also gets that square, as its entry against the owner.
-    That takes about stride**2 probes per pass (``PROBE_STRIDE``, and
-    ``FINEST_PROBE_STRIDE`` at the finest pass), O(N log N) work in all.
+    gets the square of every entry it is read from, summed block by block
+    over its run of rows and columns.  A row from a strictly finer pass
+    also gets that square, as its entry against the owner.  That takes
+    65 probes per interior u-space pass (colours C 5x5, R 4x5, V 5x4), 49
+    at pass p - 1 and 21 at pass p, and 17 per w-space pass: 208 u-space
+    probes at p=6, O(N log N) work in all.
 
     The colours of all passes go through A as one stream of ``batch_size``
     grids at a time (by default as many as fit ``PROBE_BATCH_BYTES``, and
     at least ``PROBE_BATCH_FLOOR``); only the last batch may be smaller,
     so the multiscale maps bind at most two programs per build.  One basis
     stack, sized by the first batch, is refilled in place, and a u-space
-    ``NormalOperator`` gets one screen buffer of the same size.  Colours
-    are formed lazily, one batch at a time.  Each pass logs one INFO
-    progress line when its last probe is read, timed from the previous
-    pass's line (a batch that spans two passes counts toward the first),
-    and the build one summary with its batch count and largest stack.
+    ``NormalOperator`` gets one screen buffer of the same size.  A
+    ``NormalOperator`` also runs each batch's maps only over the passes
+    from its coarsest colour's on; any other operator is applied whole.
+    Colours are formed lazily, one batch at a time.  Each pass logs one
+    INFO progress line, with its strides, when its last probe is read,
+    timed from the previous pass's line (a batch that spans two passes
+    counts toward the first), and the build one summary with its batch
+    count and largest stack.
 
-    A row with no owner must read exactly zero; a nonzero there means
-    the operator couples farther than the pass's stride allows, and
-    raises RuntimeError.
+    A row of the probe's pass or finer outside its colour's owned block
+    must read exactly zero; a nonzero there means the operator couples
+    farther than the colour stride allows, and raises RuntimeError.
     """
     n = op.n
     p = scale_count(n)
-    size = n * n
     if batch_size is None:
-        batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * size))
+        batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * n * n))
     elif not is_integer(batch_size) or batch_size < 1:
         raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
     start = pass_start = time.perf_counter()
-    passes = _sample_passes(p)
-    diag = np.zeros(size)
-    rowsq = np.zeros(size)
+    diag = np.zeros((n, n))
+    rowsq = np.zeros((n, n))
     finer = np.zeros((n, n))  # squares read at the current pass, for its finer rows
     sq = np.empty((n, n))
-    level = stride = None
+    level = None
     pass_probes = probes = batches = 0
     basis = screen = None
+    trim = isinstance(op, NormalOperator)
 
     def finish_pass():
-        # A row from a strictly finer pass gets every square it read.
-        rowsq[...] += np.where(passes > level, finer, 0.0).ravel()
+        # A row from a strictly finer pass gets every square it read; the
+        # lattice of this pass holds the others.
+        step = (n - 1) >> level
+        finer[::step, ::step] = 0.0
+        rowsq[...] += finer
         finer[...] = 0.0
-        log.info("%s-space probe pass %d/%d: stride %d, %d probes in %.3f s",
-                 op.space, level, p, stride, pass_probes, time.perf_counter() - pass_start)
+        strides = "corners"
+        if level:
+            strides = "strides " + ", ".join(
+                f"{kind} {sy}x{sx}" for kind, (sy, sx) in probe_strides(op.space, level, p).items())
+        log.info("%s-space probe pass %d/%d: %s; %d probes in %.3f s",
+                 op.space, level, p, strides, pass_probes, time.perf_counter() - pass_start)
 
-    stream = _probe_colours(passes, op.space)
+    stream = _probe_colours(n, op.space)
     while batch := list(itertools.islice(stream, batch_size)):
         if basis is None:
             # The first batch is the largest: every later one is as large
             # or is the stream's last.
             basis = np.zeros((len(batch), n, n))
-            if isinstance(op, NormalOperator) and op.space == "u":
+            if trim and op.space == "u":
                 screen = np.empty_like(basis)
         grids = basis[: len(batch)]
-        flat = grids.reshape(len(batch), size)
-        for row, (_, _, member, *_) in zip(flat, batch):
-            row[member] = 1.0
-        if screen is None:
-            ys = op.apply(grids)
+        for grid, (_, (y_members, *_), (x_members, *_)) in zip(grids, batch):
+            grid[y_members, x_members] = 1.0
+        if trim:
+            ys = op.apply(grids, screen=None if screen is None else screen[: len(batch)],
+                          _first_pass=batch[0][0])
         else:
-            ys = op.apply(grids, screen=screen[: len(batch)])
-        for row, y, (colour_level, colour_stride, member, owned, owners, stray) in zip(
-                flat, ys, batch):
+            ys = op.apply(grids)
+        for grid, y, (colour_level, y_colour, x_colour) in zip(grids, ys, batch):
+            y_members, rows, y_starts = y_colour
+            x_members, cols, x_starts = x_colour
             if colour_level != level:
                 if level is not None:
                     finish_pass()
                     pass_start = time.perf_counter()
-                level, stride, pass_probes = colour_level, colour_stride, 0
-            if np.any(y[stray]):
+                level, pass_probes = colour_level, 0
+            if level:
+                coarse = (n - 1) >> (level - 1)
+                y[::coarse, ::coarse] = 0.0  # rows of coarser passes
+            if _outside(y, rows, cols):
                 raise RuntimeError(
-                    f"pass {level} probe reached a row outside the probe stride {stride}"
+                    f"pass {level} probe reached a row outside its colour stride"
                 )
             np.multiply(y, y, out=sq)
-            diag[member] = y.reshape(size)[member]
-            rowsq += np.bincount(owners, sq[owned], minlength=size)
+            diag[y_members, x_members] = y[y_members, x_members]
+            block = np.add.reduceat(sq[rows, cols], y_starts, axis=0)
+            rowsq[y_members, x_members] += np.add.reduceat(block, x_starts, axis=1)
             finer += sq
-            row[member] = 0.0
+            grid[y_members, x_members] = 0.0
             pass_probes += 1
         probes += len(batch)
         batches += 1
@@ -347,7 +403,7 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     log.info("built %s-space preconditioner statistics at p=%d: %d probes in %d batches "
              "of at most %d grids (%d KiB) in %.3f s", op.space, p, probes, batches,
              basis.shape[0], basis.nbytes >> 10, time.perf_counter() - start)
-    return diag.reshape(n, n), rowsq.reshape(n, n)
+    return diag, rowsq
 
 
 def jacobi_preconditioner(diag, space: str) -> DiagonalPreconditioner:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from fracwave.fractal import CoefficientError
+from fracwave.sensor import Pupil
 
 
 def solve_coefficients_numeric(parent_cov, cross_cov, sigma2):
@@ -266,6 +267,57 @@ def exhaustive_diagonal_stats(apply_fn, n, batch_size=None):
         diag[idx] = out[np.arange(idx.size), idx]
         rowsq[idx] = np.einsum("ij,ij->i", out, out)
     return diag.reshape(n, n), rowsq.reshape(n, n)
+
+
+def sample_passes(n):
+    """Refinement pass that places each sample of an n x n grid, n = 2**p + 1:
+    0 for the four corners, and L for the samples of the lattice of step
+    2**(p - L) that no coarser lattice holds."""
+    p = (n - 1).bit_length() - 1
+    # The pass of each coordinate alone; a sample waits for the later one.
+    first = [0 if i % (n - 1) == 0 else p - ((i & -i).bit_length() - 1) for i in range(n)]
+    return np.maximum.outer(first, first)
+
+
+def probe_reach(A):
+    """Per pass 1..p of the operator A, the reach of each sample type.
+
+    Returns {pass: {type: (dy, dx)}} with types "C" (cell centres, odd
+    lattice coordinates on both axes), "R" (even row, odd column) and "V"
+    (odd row, even column).  (dy, dx) is the largest |dy| and the largest
+    |dx|, in lattice steps of the pass, from a column of that type to a
+    row of that pass or finer that A couples it to.  One operator
+    application per column.
+    """
+    n = A.n
+    passes = sample_passes(n)
+    types = {"C": (1, 1), "R": (0, 1), "V": (1, 0)}
+    reach = {}
+    for level in range(1, passes.max() + 1):
+        step = (n - 1) >> level
+        found = dict.fromkeys(types, (0.0, 0.0))
+        every = np.argwhere(passes == level)
+        for start in range(0, len(every), 256):
+            cols = every[start:start + 256]
+            basis = np.zeros((len(cols), n, n))
+            basis[np.arange(len(cols)), cols[:, 0], cols[:, 1]] = 1.0
+            b, y, x = np.nonzero((A.apply(basis) != 0) & (passes >= level))
+            dy = np.abs(y - cols[b, 0]) / step
+            dx = np.abs(x - cols[b, 1]) / step
+            parity = (cols[b] // step) % 2
+            for kind, (py, px) in types.items():
+                hit = (parity[:, 0] == py) & (parity[:, 1] == px)
+                ry, rx = found[kind]
+                found[kind] = (max(ry, dy[hit].max(initial=0)), max(rx, dx[hit].max(initial=0)))
+        reach[level] = found
+    return reach
+
+
+def full_support_pupil(n):
+    """A ``Pupil`` with a subaperture on every cell of an n x n grid."""
+    sy, sx = np.divmod(np.arange((n - 1) ** 2), n - 1)
+    return Pupil(n=n, obscuration=0.0, sample_mask=np.ones((n, n), dtype=bool),
+                 subap_x=sx, subap_y=sy)
 
 
 def reference_pupil(n, obscuration=1.0 / 3.0):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracwave
+from fracwave import cli
 from fracwave.cli import main
 from fracwave.fileio import read_grid, read_slopes_csv
 from fracwave.metrics import FlopCounter, residual_stats
@@ -165,7 +166,7 @@ def test_verbose_logs_build_progress_on_stderr(pipeline, monkeypatch, capsys):
         f"{level}/3" for level in range(4)
     ]
     assert all(line.startswith("INFO fracwave.solver: u-space") for line in passes)
-    assert any("built u-space preconditioner statistics at p=3: 49 probes" in line
+    assert any("built u-space preconditioner statistics at p=3: 46 probes" in line
                for line in err)
     # Without -v a cold build logs nothing.
     monkeypatch.setenv("FRACWAVE_CACHE", str(tmp_path / "other-cache"))
@@ -316,6 +317,34 @@ def test_mismatched_grid_flag_exits_2(pipeline):
         ["reconstruct", str(slopes), "--p", "4", "--out", str(tmp_path / "z.bin")]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("source", ["comment", "flag"])
+def test_a_p_the_layout_contradicts_exits_2_before_building(tmp_path, capsys, monkeypatch,
+                                                            source):
+    # A p=4 slope file that claims p=12, in its comment or by --p: refused
+    # before any n x n operator of p=12 is allocated.
+    screen, slopes = tmp_path / "screen.bin", tmp_path / "slopes.csv"
+    assert main(["generate", "--p", "4", "--out", str(screen)]) == 0
+    assert main(["sense", str(screen), "--out", str(slopes)]) == 0
+    argv = ["reconstruct", str(slopes)]
+    if source == "comment":
+        text = slopes.read_text()
+        assert " p=4 " in text.splitlines()[0]
+        slopes.write_text(text.replace(" p=4 ", " p=12 ", 1))
+    else:
+        argv += ["--p", "12"]
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Reconstructor built for a contradicted p")
+
+    monkeypatch.setattr(cli, "Reconstructor", refuse)
+    out = tmp_path / "never.bin"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "p=12" in err and "grid side of 17" in err
+    assert not out.exists()
 
 
 def test_help_exits_cleanly():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fracwave import fractal
 from fracwave.fractal import FractalOperator, build_outer_operator, scale_count
 from fracwave.metrics import FlopCounter, fractal_apply_flops
 from fracwave.turbulence import kolmogorov
@@ -15,6 +16,7 @@ from oracles import (
     dense_generator_matrix,
     dense_grid_operator,
     reference_map,
+    sample_passes,
     stencil_schedule,
 )
 
@@ -156,6 +158,38 @@ def test_switching_grid_shapes_keeps_the_bits(p):
     assert op._work.base.size == 3 * n * n
     assert [b.size for b in op._scratch] == [3 * ((n - 1) // 2) ** 2] * 2
     assert len(op._programs) == 4
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_maps_from_a_pass_on_keep_the_bits_they_promise(p, monkeypatch):
+    # From pass l on, a map runs 25 steps per pass from l on and, for l >
+    # 0, no corner step.  A gather (K, K^-1) of a grid that is zero below
+    # pass l matches the whole map on every sample; a scatter (K^T, K^-T)
+    # of any grid matches it on the samples of pass l or finer.  Bit for
+    # bit, without binding anything new.
+    ran = []
+    run = fractal._run
+    monkeypatch.setattr(fractal, "_run", lambda program: ran.append(len(program)) or run(program))
+    _, op = make_op(p)
+    n = op.n
+    passes = sample_passes(n)
+    maps = {"apply": (False, False), "apply_inverse": (False, True),
+            "apply_transpose": (True, False), "apply_inverse_transpose": (True, True)}
+    for shape in ((n, n), (2, n, n)):
+        x = np.random.default_rng(p).normal(size=shape)
+        for name, (transpose, inverse) in maps.items():
+            getattr(op, name)(x.copy())
+            programs = dict(op._programs)
+            for first in range(p + 1):
+                grid = x if transpose else np.where(passes >= first, x, 0.0)
+                ran.clear()
+                got = op._map(grid.copy(), None, transpose, inverse, first)
+                assert ran == [25 * (p - max(first, 1) + 1)]
+                want = getattr(op, name)(grid.copy())
+                rows = passes >= first if transpose else np.ones((n, n), dtype=bool)
+                assert np.array_equal(got[..., rows].view(np.uint64),
+                                      want[..., rows].view(np.uint64)), (shape, name, first)
+            assert op._programs == programs
 
 
 def test_a_map_refuses_to_run_while_another_holds_the_workspace():

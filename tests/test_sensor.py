@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fracwave.metrics import FlopCounter
-from fracwave.sensor import ShackHartmann, SlopeSet, make_pupil, simulate_measurements
+from fracwave.sensor import (ShackHartmann, SlopeSet, make_pupil, pupil_side,
+                             simulate_measurements)
 
 from oracles import dense_sensor_matrix, reference_pupil
 
@@ -60,6 +61,17 @@ def test_tiny_grids_have_no_valid_subaperture():
     # samples across, which is why experiments start at p = 3.
     assert make_pupil(3).nsub == 0
     assert make_pupil(5).nsub == 0
+
+
+def test_pupil_side_inverts_make_pupil():
+    # make_pupil(n) places its subapertures at indices 1..n - 3 on both
+    # axes, for every p = 3..10.
+    for p in range(3, 11):
+        n = (1 << p) + 1
+        pup = make_pupil(n)
+        for index in (pup.subap_x, pup.subap_y):
+            assert (index.min(), index.max()) == (1, n - 3)
+        assert pupil_side(pup.subap_x, pup.subap_y) == n
 
 
 def test_full_disc_without_obscuration():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fracwave.solver as solver
-from fracwave.fractal import FractalOperator, scale_count
+from fracwave.fractal import FractalOperator
 from fracwave.metrics import FlopCounter, fractal_apply_flops
 from fracwave.sensor import ShackHartmann, SlopeSet, make_pupil, simulate_measurements
 from fracwave.solver import (
@@ -27,7 +27,8 @@ from fracwave.solver import (
 )
 from fracwave.turbulence import kolmogorov
 
-from oracles import dense_grid_operator, dense_sensor_matrix, exhaustive_diagonal_stats
+from oracles import (dense_grid_operator, dense_sensor_matrix, exhaustive_diagonal_stats,
+                     full_support_pupil, probe_reach)
 
 P = 3
 N_SIDE = (1 << P) + 1
@@ -168,17 +169,28 @@ def test_diagonal_stats_match_dense(batch_size):
     np.testing.assert_allclose(rowsq.ravel(), (m * m).sum(axis=1), rtol=1e-13)
 
 
-@pytest.mark.parametrize(
-    "p, space, batch_size",
-    [(p, space, None) for p in (2, 3, 4, 5) for space in ("u", "w")]
-    + [(4, "u", 7), (6, "u", None)],
-)
-def test_colored_probe_matches_exhaustive(p, space, batch_size, tmp_path):
-    rec = Reconstructor(p, cache_dir=tmp_path)
+def _probe_operator(p, space, support, cache_dir):
+    """A normal operator at p with random weights: on the annular pupil with
+    20% of them zero, or on every cell of the grid."""
+    rec = Reconstructor(p, cache_dir=cache_dir)
     rng = np.random.default_rng(p)
+    if support == "full":
+        sensor = ShackHartmann(full_support_pupil(rec.n))
+        return NormalOperator(rec.fractal, sensor, rng.uniform(0.2, 3.0, sensor.pupil.nsub), space)
     inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
     inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
-    A = rec.system(inv_var, space)
+    return rec.system(inv_var, space)
+
+
+@pytest.mark.parametrize(
+    "p, space, batch_size, support",
+    [pytest.param(*case, id="-".join(map(str, case[:3])) + ("-full" if case[3] == "full" else ""))
+     for case in [(p, space, None, "annular") for p in (2, 3, 4, 5) for space in ("u", "w")]
+     + [(4, "u", 7, "annular"), (6, "u", None, "annular")]
+     + [(5, space, None, "full") for space in ("u", "w")]],
+)
+def test_colored_probe_matches_exhaustive(p, space, batch_size, support, tmp_path):
+    A = _probe_operator(p, space, support, tmp_path)
     diag, rowsq = operator_diagonal_stats(A, batch_size=batch_size)
     ref_diag, ref_rowsq = exhaustive_diagonal_stats(A.apply, A.n)
     np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
@@ -201,12 +213,13 @@ class GridCounter:
         return np.full_like(x, self.fill)
 
 
-# Probes for p = 4..8: the finest pass takes stride 5 in both spaces.
-PROBE_COUNTS = {"u": [106, 186, 267, 348, 429], "w": [74, 99, 124, 149, 174]}
+# Probes for p = 4..8: 4 corners, then per pass the colours of three
+# sample types, each on its own sub-lattice (solver.PROBE_REACH).
+PROBE_COUNTS = {"u": [86, 143, 208, 273, 338], "w": [55, 72, 89, 106, 123]}
 
 
-@pytest.mark.parametrize("space, stride", [("u", 9), ("w", 5)])
-def test_colored_probe_count_grows_by_a_constant_per_pass(space, stride):
+@pytest.mark.parametrize("space, colours", [("u", 65), ("w", 17)])
+def test_colored_probe_count_grows_by_a_constant_per_pass(space, colours):
     counts = []
     largest = []
     for p in range(4, 9):
@@ -217,7 +230,7 @@ def test_colored_probe_count_grows_by_a_constant_per_pass(space, stride):
         assert (op.largest * 8 * op.n * op.n <= PROBE_BATCH_BYTES
                 or op.largest == PROBE_BATCH_FLOOR)
     assert counts == PROBE_COUNTS[space]
-    assert np.diff(counts[1:]).tolist() == [stride * stride] * 3
+    assert np.diff(counts[1:]).tolist() == [colours] * 3
     assert largest[2:] == [7, 4, 4]
 
 
@@ -260,52 +273,36 @@ def test_probe_build_binds_each_map_at_most_twice(space, maps, tmp_path, monkeyp
     assert set(bound) == set(maps)
     assert all(bound.count(key) <= 2 for key in maps)
     *passes, build = [r.getMessage() for r in caplog.records]
-    strides = [solver.PROBE_STRIDE[space]] * 6 + [solver.FINEST_PROBE_STRIDE]
-    assert [f"pass {level}/6: stride {stride}, " in line
-            for level, (line, stride) in enumerate(zip(passes, strides))] == [True] * 7
-    # 267 or 124 probes in batches of 7 grids of 65 x 65.
+    assert passes[0].startswith(f"{space}-space probe pass 0/6: corners; 4 probes in ")
+    for level, line in enumerate(passes[1:], start=1):
+        strides = ", ".join(f"{kind} {sy}x{sx}"
+                            for kind, (sy, sx) in solver.probe_strides(space, level, 6).items())
+        assert line.startswith(f"{space}-space probe pass {level}/6: strides {strides}; ")
+    if space == "u":
+        assert "pass 4/6: strides C 5x5, R 4x5, V 5x4; 65 probes in " in passes[4]
+    # 208 or 89 probes in batches of 7 grids of 65 x 65.
     probes = PROBE_COUNTS[space][2]
-    assert sum(int(line.split(", ")[1].split()[0]) for line in passes) == probes
+    assert sum(int(line.split("; ")[1].split()[0]) for line in passes) == probes
     assert f"{probes} probes in {-(-probes // 7)} batches of at most 7 grids (231 KiB)" in build
-
-
-def _coupling_radii(A):
-    """Per pass, the largest Chebyshev distance, in that pass's lattice
-    steps, from one of its columns to a row of that pass or finer that the
-    column reaches: one operator application per column."""
-    n = A.n
-    p = scale_count(n)
-    passes = solver._sample_passes(p)
-    radii = []
-    for level in range(p + 1):
-        radius = 0
-        every = np.argwhere(passes == level)
-        for start in range(0, len(every), 256):
-            cols = every[start:start + 256]
-            basis = np.zeros((len(cols), n, n))
-            basis[np.arange(len(cols)), cols[:, 0], cols[:, 1]] = 1.0
-            b, y, x = np.nonzero((A.apply(basis) != 0) & (passes >= level))
-            dist = np.maximum(np.abs(y - cols[b, 0]), np.abs(x - cols[b, 1]))
-            radius = max(radius, dist.max(initial=0))
-        radii.append(radius / ((n - 1) >> level))
-    return radii
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("space", ["u", "w"])
 def test_probe_stride_covers_the_dense_coupling_radius(p, space, tmp_path):
-    rec = Reconstructor(p, cache_dir=tmp_path)
-    rng = np.random.default_rng(p)
-    inv_var = rng.uniform(0.2, 3.0, rec.pupil.nsub)
-    inv_var[rng.random(rec.pupil.nsub) < 0.2] = 0.0
-    radii = _coupling_radii(rec.system(inv_var, space))
-    strides = [solver.PROBE_STRIDE[space]] * p + [solver.FINEST_PROBE_STRIDE]
-    for radius, stride in zip(radii, strides):
-        assert 2 * radius + 1 <= stride
-    if space == "u" and p >= 3:  # p = 2 has no subaperture, so A_u = I
-        assert radii[-1] == 2
-        if p >= 4:
-            assert max(radii[1:-1]) == 4
+    # The annular pupil with 20% of the weights zero, and every cell
+    # weighted: the reach of each sample type stays below its stride on
+    # both axes.  At p=6 every pass wide enough to show it (3..6 in
+    # u-space, 2..6 in w-space) reaches exactly one less than its strides,
+    # the reach table.
+    for support in ("annular", "full"):
+        reach = probe_reach(_probe_operator(p, space, support, tmp_path))
+        for level, types in reach.items():
+            strides = solver.probe_strides(space, level, p)
+            for kind, (dy, dx) in types.items():
+                sy, sx = strides[kind]
+                assert dy < sy and dx < sx, (support, level, kind)
+                if p == 6 and level >= (3 if space == "u" else 2):
+                    assert (dy, dx) == (sy - 1, sx - 1), (support, level, kind)
 
 
 def test_colored_probe_rejects_coupling_beyond_its_stride():
@@ -778,10 +775,10 @@ def test_cache_events_are_logged(system, tmp_path, caplog):
         Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
         *passes, build = caplog.records
         assert [r.levelno for r in caplog.records] == [logging.INFO] * (P + 2)
-        assert [f"pass {level}/{P}: stride " in r.getMessage()
+        assert [f"pass {level}/{P}: {'strides ' if level else 'corners; '}" in r.getMessage()
                 for level, r in enumerate(passes)] == [True] * (P + 1)
         assert "u-space" in build.getMessage() and f"p={P}" in build.getMessage()
-        assert "49 probes" in build.getMessage()
+        assert "46 probes" in build.getMessage()
         caplog.clear()
         Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
         (hit,) = caplog.records
