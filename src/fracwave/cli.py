@@ -31,11 +31,7 @@ from .turbulence import kolmogorov
 def _parse_methods(text: str) -> tuple[str, ...]:
     if text == "all":
         return tuple(sorted(VARIANTS))
-    methods = tuple(tok for tok in text.split(",") if tok)
-    unknown = [m for m in methods if m not in VARIANTS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}, pick from {sorted(VARIANTS)} or 'all'")
-    return methods
+    return tuple(tok for tok in text.split(",") if tok)
 
 
 def cmd_generate(args) -> int:
@@ -67,19 +63,13 @@ def cmd_sense(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     fileio.ensure_parent(args.out)
-    slopes, meta = fileio.read_slopes_csv(args.slopes)
-    if args.p is not None:
-        p = args.p
-    elif "p" in meta:
-        p = int(meta["p"])
-    else:
-        raise ValueError("grid size unknown: pass --p or use a slope file written by 'sense'")
-    # Refuse a p the layout contradicts before building its n x n operators;
-    # the bound on p comes first, so a huge p is never shifted.
-    side = pupil_side(slopes.subap_x, slopes.subap_y)
-    if not 0 <= p < side.bit_length() or (1 << p) + 1 != side:
-        raise ValueError(f"p={p} does not match the slope file's subaperture layout: it "
-                         f"implies a grid side of {side}, not 2**{p} + 1")
+    slopes, _ = fileio.read_slopes_csv(args.slopes)
+    # The layout fixes the grid: a side that is not 2**p + 1 is refused
+    # before any n x n operator is built.
+    try:
+        p = scale_count(pupil_side(slopes.subap_x, slopes.subap_y))
+    except ValueError as exc:
+        raise ValueError(f"{args.slopes}: subaperture layout: {exc}") from None
     recon = Reconstructor(p, args.r0)
     config = SolverConfig(args.method, args.max_iter, args.tol)
     counter = FlopCounter()
@@ -156,6 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
+    def stopping(sp):
+        sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+        sp.add_argument("--tol", type=float, default=SolverConfig.tol)
+
     sp = sub.add_parser("generate", help="draw one turbulent screen")
     sp.add_argument("--p", type=int, required=True, help="refinement passes; grid side 2**p + 1")
     common(sp)
@@ -172,11 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reconstruct", help="estimate a wavefront from slopes")
     sp.add_argument("slopes", help="input slope CSV")
-    sp.add_argument("--method", default="u-pcg-opt", choices=sorted(VARIANTS))
-    sp.add_argument("--max-iter", type=int, default=30)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--p", type=int, default=None,
-                    help="refinement passes (default: from the slope file comment)")
+    sp.add_argument("--method", default=SolverConfig.method, choices=sorted(VARIANTS))
+    stopping(sp)
     common(sp, seed=False)
     sp.add_argument("--out", required=True, help="output grid file")
     sp.add_argument("--trace", default=None, help="optional per-iteration trace CSV")
@@ -185,10 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="Monte-Carlo convergence curves")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--noise-std", type=float, default=1.0)
-    sp.add_argument("--method", default="u-pcg-opt",
+    sp.add_argument("--method", default=SolverConfig.method,
                     help="comma-separated solver variants, or 'all'")
-    sp.add_argument("--max-iter", type=int, default=30)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    stopping(sp)
     sp.add_argument("--trials", type=int, default=100)
     common(sp)
     sp.add_argument("--out", required=True, help="output curves CSV")

@@ -154,8 +154,8 @@ def write_curves_csv(path, result, meta: dict):
         writer.writerow(["method", "iter", "flops", "resid_var_median", "resid_var_norm_median"])
         for method in result.spec.methods:
             flops = np.median(result.iteration_flops[method], axis=0)
-            med_var = np.median(result.resid_var[method], axis=0)
-            med_norm = np.median(result.resid_var_norm[method], axis=0)
+            med_var = result.median_variance(method)
+            med_norm = result.median_normalized(method)
             for k in range(med_var.size):
                 writer.writerow([method, k, int(flops[k]), _fmt(med_var[k]), _fmt(med_norm[k])])
 

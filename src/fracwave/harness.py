@@ -16,10 +16,16 @@ import math
 import numpy as np
 
 from .fractal import FractalOperator, is_integer
-from .metrics import FlopCounter, empirical_structure_function, radial_profile
+from .metrics import empirical_structure_function, radial_profile
 from .sensor import simulate_measurements
-from .solver import CHUNK_BYTES, VARIANTS, Reconstructor, SolverConfig
+from .solver import Reconstructor, SolverConfig
 from .turbulence import kolmogorov
+
+# Bytes of one (batch, n, n) float64 grid stack, for trial chunks in
+# run_simulation; one operator application holds several such stacks, a
+# stacked PCG solve about a dozen.  That is 496 grids at p=6 and 31 at
+# p=8.
+CHUNK_BYTES = 16 << 20
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -27,10 +33,10 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
 
-def draw_screen(fractal: FractalOperator, rng, counter: FlopCounter | None = None):
+def draw_screen(fractal: FractalOperator, rng):
     """One correlated screen from white generators."""
     u = rng.standard_normal((fractal.n, fractal.n))
-    fractal.apply(u, counter)
+    fractal.apply(u)
     return u
 
 
@@ -41,9 +47,9 @@ class ExperimentSpec:
     p: int
     r0: float = 1.0
     noise_std: float = 1.0
-    methods: tuple[str, ...] = ("u-pcg-opt",)
-    max_iter: int = 30
-    tol: float = 1e-3
+    methods: tuple[str, ...] = (SolverConfig.method,)
+    max_iter: int = SolverConfig.max_iter
+    tol: float = SolverConfig.tol
     trials: int = 100
     seed: int = 0
 
@@ -61,10 +67,13 @@ class ExperimentSpec:
             raise ValueError(f"trials must be an integer of at least 1, got {self.trials!r}")
         if not self.methods:
             raise ValueError("need at least one method")
-        unknown = [m for m in self.methods if m not in VARIANTS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}, pick from {sorted(VARIANTS)}")
-        SolverConfig(self.methods[0], self.max_iter, self.tol)  # validates the rest
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must not repeat, got {list(self.methods)}")
+        self.configs()  # SolverConfig checks each method, max_iter and tol
+
+    def configs(self) -> tuple[SolverConfig, ...]:
+        """One solver configuration per method, in order."""
+        return tuple(SolverConfig(m, self.max_iter, self.tol) for m in self.methods)
 
 
 @dataclasses.dataclass
@@ -90,7 +99,7 @@ def _padded(values, length):
     return out
 
 
-def run_simulation(spec: ExperimentSpec, cache_dir=None, progress=None) -> SimulationResult:
+def run_simulation(spec: ExperimentSpec, cache_dir=None) -> SimulationResult:
     """Monte-Carlo reconstruction study over independent trials.
 
     Every variant of a trial consumes the identical slope set; the
@@ -98,7 +107,6 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None, progress=None) -> Simul
     in one stacked PCG call (``CHUNK_BYTES`` per grid stack) whose traces
     equal those of one solve per trial.  Traces that stop early are padded
     with their final row so medians stay elementwise comparable.
-    ``progress(done, total)`` is called once per trial, in trial order.
     """
     recon = Reconstructor(spec.p, spec.r0, cache_dir=cache_dir)
     rows = spec.max_iter + 1
@@ -122,16 +130,13 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None, progress=None) -> Simul
             ).hexdigest()
             for method in spec.methods:
                 digests[method].append(digest)
-        for method in spec.methods:
-            config = SolverConfig(method, spec.max_iter, spec.tol)
+        for config in spec.configs():
+            method = config.method
             _, traces = recon.reconstruct(slope_sets, config, truth=np.stack(truths))
             for t, trace in zip(trials, traces):
                 flops[method][t] = _padded(trace.flops, rows)
                 var[method][t] = _padded(trace.resid_var, rows)
                 var_norm[method][t] = _padded(trace.resid_var_norm, rows)
-        if progress is not None:
-            for t in trials:
-                progress(t + 1, spec.trials)
 
     return SimulationResult(
         spec=spec, iteration_flops=flops, resid_var=var,

@@ -127,28 +127,22 @@ def _centered(circular, n):
     return np.roll(circular, (n - 1, n - 1), axis=(0, 1))[: 2 * n - 1, : 2 * n - 1]
 
 
-def radial_profile(sf_map, theory=None, r_max=None):
+def radial_profile(sf_map, theory):
     """Annulus averages of a structure-function map at integer radii.
 
-    Returns (radii, measured) or (radii, measured, expected) when a
-    ``theory`` callable is given; the expected column averages the theory
-    over exactly the offsets pooled into each annulus, so the comparison
-    carries no binning bias.
+    Returns (radii, measured, expected); the expected column averages the
+    ``theory`` callable over exactly the offsets pooled into each annulus,
+    so the comparison carries no binning bias.
     """
     sf_map = np.asarray(sf_map, dtype=float)
     n = (sf_map.shape[0] + 1) // 2
-    if r_max is None:
-        r_max = n - 1
     offsets = np.arange(-(n - 1), n)
     rho = np.hypot(offsets[:, None], offsets[None, :])
-    radii = np.arange(1, r_max + 1)
+    radii = np.arange(1, n)
     measured = np.empty(radii.size)
     expected = np.empty(radii.size)
     for i, k in enumerate(radii):
         sel = (rho >= k - 0.5) & (rho < k + 0.5)
         measured[i] = sf_map[sel].mean()
-        if theory is not None:
-            expected[i] = float(np.mean(theory(rho[sel])))
-    if theory is None:
-        return radii, measured
+        expected[i] = float(np.mean(theory(rho[sel])))
     return radii, measured, expected

@@ -61,13 +61,15 @@ class IndefiniteOperatorError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
+    """Solver variant and stopping rule, with the CLI's and ExperimentSpec's defaults."""
+
     method: str = "u-pcg-opt"
     max_iter: int = 30
     tol: float = 1e-3
 
     def __post_init__(self):
         if self.method not in VARIANTS:
-            raise ValueError(f"unknown method {self.method!r}, pick one of {sorted(VARIANTS)}")
+            raise ValueError(f"unknown method {self.method!r}; known methods: {sorted(VARIANTS)}")
         if not is_integer(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not 0 < self.tol < math.inf:
@@ -234,17 +236,11 @@ def probe_strides(space: str, level: int, p: int) -> dict[str, tuple[int, int]]:
     reach = PROBE_REACH[space][max(0, level - p + 2)]
     return {kind: (math.floor(dy) + 1, math.floor(dx) + 1) for kind, (dy, dx) in reach.items()}
 
-# Bytes of one (batch, n, n) float64 grid stack, for trial chunks in
-# run_simulation; one operator application holds several such stacks, a
-# stacked PCG solve about a dozen.  That is 496 grids at p=6 and 31 at
-# p=8.
-CHUNK_BYTES = 16 << 20
-
-# Probe batches are smaller: about this many bytes per grid stack, which
-# keeps a probe's working stacks in cache and a cold build's resident
-# growth near one such stack per operator temporary, but never fewer grids
-# than the floor, below which per-call overhead dominates (7 grids at
-# p=6, 4 from p=7 on).
+# Probe batches hold about this many bytes per (batch, n, n) float64 grid
+# stack, which keeps a probe's working stacks in cache and a cold build's
+# resident growth near one such stack per operator temporary, but never
+# fewer grids than the floor, below which per-call overhead dominates (7
+# grids at p=6, 4 from p=7 on).
 PROBE_BATCH_BYTES = 1 << 18
 PROBE_BATCH_FLOOR = 4
 
@@ -294,7 +290,7 @@ def _outside(y, rows: slice, cols: slice) -> int:
             + np.count_nonzero(y[rows, : cols.start]) + np.count_nonzero(y[rows, cols.stop:]))
 
 
-def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
+def operator_diagonal_stats(op: NormalOperator):
     """diag(A) and row square-sums of a normal operator by colored probing.
 
     Column-partition probing (Curtis, Powell & Reid 1974), with colours
@@ -311,10 +307,10 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     at pass p - 1 and 21 at pass p, and 17 per w-space pass: 208 u-space
     probes at p=6, O(N log N) work in all.
 
-    The colours of all passes go through A as one stream of ``batch_size``
-    grids at a time (by default as many as fit ``PROBE_BATCH_BYTES``, and
-    at least ``PROBE_BATCH_FLOOR``); only the last batch may be smaller,
-    so the multiscale maps bind at most two programs per build.  One basis
+    The colours of all passes go through A as one stream of batches of as
+    many grids as fit ``PROBE_BATCH_BYTES``, and at least
+    ``PROBE_BATCH_FLOOR``; only the last batch may be smaller, so the
+    multiscale maps bind at most two programs per build.  One basis
     stack, sized by the first batch, is refilled in place, and a u-space
     ``NormalOperator`` gets one screen buffer of the same size.  A
     ``NormalOperator`` also runs each batch's maps only over the passes
@@ -331,10 +327,7 @@ def operator_diagonal_stats(op: NormalOperator, batch_size: int | None = None):
     """
     n = op.n
     p = scale_count(n)
-    if batch_size is None:
-        batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * n * n))
-    elif not is_integer(batch_size) or batch_size < 1:
-        raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
+    batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * n * n))
     start = pass_start = time.perf_counter()
     diag = np.zeros((n, n))
     rowsq = np.zeros((n, n))
@@ -423,7 +416,7 @@ def optimal_diagonal_preconditioner(diag, rowsq, space: str) -> DiagonalPrecondi
     return DiagonalPreconditioner(values=diag / rowsq, kind="optimal", space=space)
 
 
-def pcg_solve(apply_a, b, *, tol: float = 1e-3, max_iter: int = 30,
+def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
               preconditioner: DiagonalPreconditioner | None = None,
               counter: FlopCounter | None = None, monitor=None):
     """Preconditioned conjugate gradients for an SPD matrix-free operator.

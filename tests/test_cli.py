@@ -13,6 +13,7 @@ import fracwave
 from fracwave import cli
 from fracwave.cli import main
 from fracwave.fileio import read_grid, read_slopes_csv
+from fracwave.harness import ExperimentSpec
 from fracwave.metrics import FlopCounter, residual_stats
 from fracwave.sensor import make_pupil
 from fracwave.solver import Reconstructor, SolverConfig
@@ -311,40 +312,58 @@ def test_malformed_slope_file_exits_2(pipeline, capsys):
     assert not out.exists()
 
 
-def test_mismatched_grid_flag_exits_2(pipeline):
+def test_reconstruct_takes_its_grid_from_the_layout(pipeline):
     tmp_path, _, slopes = pipeline
-    rc = main(
-        ["reconstruct", str(slopes), "--p", "4", "--out", str(tmp_path / "z.bin")]
-    )
-    assert rc == 2
+    lines = slopes.read_text().splitlines()
+    assert lines[0].startswith("#")
+    bare = tmp_path / "bare.csv"
+    bare.write_text("\n".join(lines[1:]) + "\n")
+    out = tmp_path / "estimate.bin"
+    assert main(["reconstruct", str(bare), "--method", "w-cg", "--out", str(out)]) == 0
+    assert read_grid(out).shape == (9, 9)
 
 
-@pytest.mark.parametrize("source", ["comment", "flag"])
-def test_a_p_the_layout_contradicts_exits_2_before_building(tmp_path, capsys, monkeypatch,
-                                                            source):
-    # A p=4 slope file that claims p=12, in its comment or by --p: refused
-    # before any n x n operator of p=12 is allocated.
+def test_a_layout_of_no_grid_side_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # A p=4 layout without its subapertures at index 14 implies a grid
+    # side of 16, which is no 2**p + 1: refused before any operator is built.
     screen, slopes = tmp_path / "screen.bin", tmp_path / "slopes.csv"
     assert main(["generate", "--p", "4", "--out", str(screen)]) == 0
     assert main(["sense", str(screen), "--out", str(slopes)]) == 0
-    argv = ["reconstruct", str(slopes)]
-    if source == "comment":
-        text = slopes.read_text()
-        assert " p=4 " in text.splitlines()[0]
-        slopes.write_text(text.replace(" p=4 ", " p=12 ", 1))
-    else:
-        argv += ["--p", "12"]
+    comment, header, *rows = slopes.read_text().splitlines()
+    kept = [row.split(",") for row in rows if "14" not in row.split(",")[1:3]]
+    assert 0 < len(kept) < len(rows)
+    body = [",".join([str(i), *fields[1:]]) for i, fields in enumerate(kept)]
+    slopes.write_text("\n".join([comment, header, *body]) + "\n")
     capsys.readouterr()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("Reconstructor built for a contradicted p")
+        raise AssertionError("Reconstructor built for a layout of no grid side")
 
     monkeypatch.setattr(cli, "Reconstructor", refuse)
     out = tmp_path / "never.bin"
-    assert main([*argv, "--out", str(out)]) == 2
+    assert main(["reconstruct", str(slopes), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "p=12" in err and "grid side of 17" in err
+    assert "subaperture layout" in err and "got 16" in err
     assert not out.exists()
+
+
+def test_solver_defaults_come_from_solver_config():
+    parser = cli.build_parser()
+    default = SolverConfig()
+    for argv in (["reconstruct", "slopes.csv", "--out", "w.bin"],
+                 ["simulate", "--p", "3", "--out", "curves.csv"]):
+        args = parser.parse_args(argv)
+        assert SolverConfig(args.method, args.max_iter, args.tol) == default
+    assert ExperimentSpec(p=3).configs() == (default,)
+
+
+def test_a_repeated_method_exits_2_without_output(tmp_path, capsys):
+    curves = tmp_path / "curves.csv"
+    argv = ["simulate", "--p", "3", "--trials", "1", "--method", "u-cg,u-cg",
+            "--out", str(curves)]
+    assert main(argv) == 2
+    assert "methods must not repeat" in capsys.readouterr().err
+    assert not curves.exists()
 
 
 def test_help_exits_cleanly():

@@ -14,7 +14,7 @@ from fracwave.harness import (
     run_simulation,
     trial_generator,
 )
-from fracwave.metrics import FlopCounter, radial_profile
+from fracwave.metrics import radial_profile
 from fracwave.sensor import simulate_measurements
 from fracwave.solver import Reconstructor, SolverConfig
 from fracwave.turbulence import kolmogorov
@@ -33,11 +33,9 @@ def test_trial_generator_reproducible_and_independent():
 def test_draw_screen_shape_and_cost():
     sf = kolmogorov(1.0, 8.0)
     op = FractalOperator(sf, 3)
-    counter = FlopCounter()
-    scr = draw_screen(op, trial_generator(0, 0), counter=counter)
+    scr = draw_screen(op, trial_generator(0, 0))
     assert scr.shape == (9, 9)
     assert np.all(np.isfinite(scr))
-    assert counter.tallies() == {"fractal": 6 * 81 - 14}
 
 
 def test_draw_screen_corner_variance():
@@ -144,10 +142,7 @@ def test_chunked_trials_match_one_solve_per_trial(tmp_path, monkeypatch, p, meth
     n = (1 << p) + 1
     monkeypatch.setattr(harness, "CHUNK_BYTES", chunk * 8 * n * n)
     spec = ExperimentSpec(p=p, methods=methods, max_iter=8, tol=tol, trials=5, seed=seed)
-    seen = []
-    res = run_simulation(spec, cache_dir=tmp_path, progress=lambda done, total: seen.append(
-        (done, total)))
-    assert seen == [(t + 1, spec.trials) for t in range(spec.trials)]
+    res = run_simulation(spec, cache_dir=tmp_path)
     alone, digests = solve_trials_alone(spec, tmp_path)
     rows = spec.max_iter + 1
     for m in methods:
@@ -182,6 +177,8 @@ def test_experiment_spec_validation():
         ExperimentSpec(p=3, trials=0)
     with pytest.raises(ValueError, match="methods"):
         ExperimentSpec(p=3, methods=("newton",))
+    with pytest.raises(ValueError, match="methods must not repeat"):
+        ExperimentSpec(p=3, methods=("u-cg", "u-cg"), trials=2)
     with pytest.raises(ValueError, match="noise_std"):
         ExperimentSpec(p=3, noise_std=-0.5)
     for value in (np.nan, np.inf):

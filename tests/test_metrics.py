@@ -180,10 +180,3 @@ def test_radial_profile_pools_exact_annuli():
         assert measured[i] == pytest.approx(sf_map[sel].mean(), rel=1e-13)
         # theory averaged over the same offsets: no binning bias at all
         assert expected[i] == pytest.approx(measured[i], rel=1e-13)
-
-
-def test_radial_profile_respects_r_max():
-    sf_map = np.ones((11, 11))
-    radii, measured = radial_profile(sf_map, r_max=3)
-    assert list(radii) == [1, 2, 3]
-    np.testing.assert_allclose(measured, 1.0)

@@ -183,15 +183,17 @@ def _probe_operator(p, space, support, cache_dir):
 
 
 @pytest.mark.parametrize(
-    "p, space, batch_size, support",
+    "p, space, batch, support",
     [pytest.param(*case, id="-".join(map(str, case[:3])) + ("-full" if case[3] == "full" else ""))
      for case in [(p, space, None, "annular") for p in (2, 3, 4, 5) for space in ("u", "w")]
      + [(4, "u", 7, "annular"), (6, "u", None, "annular")]
      + [(5, space, None, "full") for space in ("u", "w")]],
 )
-def test_colored_probe_matches_exhaustive(p, space, batch_size, support, tmp_path):
+def test_colored_probe_matches_exhaustive(p, space, batch, support, tmp_path, monkeypatch):
     A = _probe_operator(p, space, support, tmp_path)
-    diag, rowsq = operator_diagonal_stats(A, batch_size=batch_size)
+    if batch is not None:  # a byte budget of that many grids per batch
+        monkeypatch.setattr(solver, "PROBE_BATCH_BYTES", batch * 8 * A.n * A.n)
+    diag, rowsq = operator_diagonal_stats(A)
     ref_diag, ref_rowsq = exhaustive_diagonal_stats(A.apply, A.n)
     np.testing.assert_allclose(diag, ref_diag, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rowsq, ref_rowsq, rtol=1e-12, atol=0)
@@ -232,14 +234,6 @@ def test_colored_probe_count_grows_by_a_constant_per_pass(space, colours):
     assert counts == PROBE_COUNTS[space]
     assert np.diff(counts[1:]).tolist() == [colours] * 3
     assert largest[2:] == [7, 4, 4]
-
-
-@pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
-def test_colored_probe_rejects_a_bad_batch_size(batch_size):
-    op = GridCounter(3, "u")
-    with pytest.raises(ValueError, match="batch_size"):
-        operator_diagonal_stats(op, batch_size=batch_size)
-    assert op.grids == 0
 
 
 def test_warm_probe_build_fits_a_small_working_set(tmp_path):
