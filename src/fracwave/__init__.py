@@ -18,9 +18,7 @@ from .sensor import (Pupil, ShackHartmann, SlopeSet, make_pupil,
                      simulate_measurements)
 from .solver import (VARIANTS, ConvergenceTrace, DiagonalPreconditioner,
                      IndefiniteOperatorError, NormalOperator, Reconstructor,
-                     SolverConfig, jacobi_preconditioner,
-                     operator_diagonal_stats,
-                     optimal_diagonal_preconditioner, pcg_solve)
+                     SolverConfig, operator_diagonal_stats, pcg_solve)
 from .turbulence import KOLMOGOROV_SCALE, KolmogorovStructureFunction, kolmogorov
 
 __version__ = "0.1.0"

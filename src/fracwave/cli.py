@@ -5,7 +5,9 @@ into noisy slopes, ``reconstruct`` a wavefront from slopes, and the
 batch drivers ``simulate`` (Monte-Carlo convergence curves) and
 ``validate-sf`` (screen statistics).  ``reconstruct`` reports its flops
 per sample by operator family on stderr.
-Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.  ``-v``
+Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.  ``main``
+returns 2 for an unknown ``--method`` as for any value the subcommands
+check; only argparse's own usage errors raise SystemExit.  ``-v``
 before the subcommand prints the ``fracwave`` logger's INFO records, such
 as a preconditioner build's progress per probe pass, on stderr.
 """
@@ -62,6 +64,7 @@ def cmd_sense(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    config = SolverConfig(args.method, args.max_iter, args.tol)
     fileio.ensure_parent(args.out)
     slopes, _ = fileio.read_slopes_csv(args.slopes)
     # The layout fixes the grid: a side that is not 2**p + 1 is refused
@@ -71,7 +74,6 @@ def cmd_reconstruct(args) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.slopes}: subaperture layout: {exc}") from None
     recon = Reconstructor(p, args.r0)
-    config = SolverConfig(args.method, args.max_iter, args.tol)
     counter = FlopCounter()
     w_hat, trace = recon.reconstruct(slopes, config, counter=counter)
     fileio.write_grid(args.out, w_hat)
@@ -166,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reconstruct", help="estimate a wavefront from slopes")
     sp.add_argument("slopes", help="input slope CSV")
-    sp.add_argument("--method", default=SolverConfig.method, choices=sorted(VARIANTS))
+    sp.add_argument("--method", default=SolverConfig.method,
+                    help=f"solver variant, one of {', '.join(sorted(VARIANTS))} "
+                         f"(default {SolverConfig.method})")
     stopping(sp)
     common(sp, seed=False)
     sp.add_argument("--out", required=True, help="output grid file")

@@ -44,10 +44,7 @@ def residual_stats(w_hat, w_true, pupil):
 
     def samples(w):
         w = np.asarray(w, dtype=float)
-        lead = w.shape[:-2]
-        if w.shape[-2:] != (n, n):
-            w = np.broadcast_to(w, lead + (n, n))
-        return w.reshape(lead + (n * n,)).take(pupil.sample_index, axis=-1)
+        return w.reshape(w.shape[:-2] + (n * n,)).take(pupil.sample_index, axis=-1)
 
     # Contiguous rows, so each residual sums in the order of a lone one.
     e, t = samples(w_hat), samples(w_true)
@@ -73,35 +70,27 @@ def empirical_structure_function(screens) -> np.ndarray:
     Each entry averages (w(r + offset) - w(r))^2 over all in-grid sample
     pairs of all screens, evaluated with padded FFT correlations.
     """
-    it = iter(screens)
-    try:
-        first = np.asarray(next(it), dtype=float)
-    except StopIteration:
-        raise ValueError("need at least one screen") from None
-    n = first.shape[0]
-    if first.shape != (n, n):
-        raise ValueError(f"screens must be square, got {first.shape}")
-    size = 2 * n
-    power = np.zeros((size, size // 2 + 1))
-    squares = np.zeros((size, size // 2 + 1), dtype=complex)
     count = 0
-
-    def accumulate(w):
-        nonlocal count
-        if w.shape != (n, n):
+    for w in screens:
+        w = np.asarray(w, dtype=float)
+        if not count:
+            n = w.shape[0]
+            if w.shape != (n, n):
+                raise ValueError(f"screens must be square, got {w.shape}")
+            size = 2 * n
+            power = np.zeros((size, size // 2 + 1))
+            squares = np.zeros((size, size // 2 + 1), dtype=complex)
+        elif w.shape != (n, n):
             raise ValueError(f"screen shape {w.shape} does not match {(n, n)}")
         pad = np.zeros((size, size))
         pad[:n, :n] = w
         spec = np.fft.rfft2(pad)
-        power_local = spec.real * spec.real + spec.imag * spec.imag
+        power += spec.real * spec.real + spec.imag * spec.imag
         pad[:n, :n] = w * w
-        return power_local, np.fft.rfft2(pad)
-
-    for w in _chain_one(first, it):
-        pw, sq = accumulate(np.asarray(w, dtype=float))
-        power += pw
-        squares += sq
+        squares += np.fft.rfft2(pad)
         count += 1
+    if not count:
+        raise ValueError("need at least one screen")
 
     ones = np.zeros((size, size))
     ones[:n, :n] = 1.0
@@ -116,11 +105,6 @@ def empirical_structure_function(screens) -> np.ndarray:
     # Roundoff can leave tiny negatives where the true value is ~0.
     np.maximum(d, 0.0, out=d)
     return d
-
-
-def _chain_one(first, rest):
-    yield first
-    yield from rest
 
 
 def _centered(circular, n):

@@ -44,17 +44,16 @@ class Pupil:
         return int(self.subap_x.size)
 
 
-def make_pupil(n: int, obscuration: float = 1.0 / 3.0) -> Pupil:
+def make_pupil(n: int) -> Pupil:
     """Pupil of outer diameter n - 1 samples with a central obscuration.
 
     The outer radius is (n - 1) / 2 around the grid centre and the
-    obscuration diameter is ``obscuration`` times the outer diameter.
-    Boundary samples count as inside.
+    obscuration diameter is fixed at 1/3 of the outer diameter, the layout
+    that ``pupil_side`` inverts.  Boundary samples count as inside.
     """
     if n < 3:
         raise ValueError(f"grid side must be at least 3, got {n}")
-    if not 0.0 <= obscuration < 1.0:
-        raise ValueError(f"obscuration ratio must be in [0, 1), got {obscuration}")
+    obscuration = 1.0 / 3.0
     # 4 * squared distance from the centre, exact in integers.
     c2 = (2 * np.arange(n) - (n - 1)) ** 2
     s = c2[:, None] + c2

@@ -248,20 +248,20 @@ PROBE_BATCH_FLOOR = 4
 def _axis_colours(n: int, origin: int, count: int, spacing: int, stride: int):
     """Colours along one axis of the points origin + spacing * i, i < count.
 
-    Colour c holds the points with i = c modulo ``stride``.  Every grid
-    index 0..n-1 goes to the colour's nearest point, on its lattice
-    extended past the grid; the indices whose nearest point exists form
-    the colour's owned range, one contiguous run per member.  Yields
-    (members, owned, starts): the members and the owned range as slices,
-    and the offsets in the owned range where the members' runs start.
+    Colour c holds the points with i = c modulo ``stride``, span =
+    spacing * stride apart.  Every grid index 0..n-1 goes to the colour's
+    nearest point, on its lattice extended past the grid, a tie to the
+    later one: span is even, so member m's run starts at first + span * m
+    - span / 2, clipped to the grid.  The members' runs form the colour's
+    owned range.  Yields (members, owned, starts): the members and the
+    owned range as slices, and the offsets in the owned range where the
+    members' runs start.
     """
     span = spacing * stride
-    k = np.arange(n)
     for c in range(min(stride, count)):
         first = origin + spacing * c
         members = len(range(c, count, stride))
-        nearest = (2 * (k - first) + span) // (2 * span)
-        bounds = np.searchsorted(nearest, np.arange(members + 1))
+        bounds = np.clip(first - span // 2 + span * np.arange(members + 1), 0, n)
         yield (slice(first, first + span * (members - 1) + 1, span),
                slice(bounds[0], bounds[-1]), bounds[:-1] - bounds[0])
 
@@ -397,23 +397,6 @@ def operator_diagonal_stats(op: NormalOperator):
              "of at most %d grids (%d KiB) in %.3f s", op.space, p, probes, batches,
              basis.shape[0], basis.nbytes >> 10, time.perf_counter() - start)
     return diag, rowsq
-
-
-def jacobi_preconditioner(diag, space: str) -> DiagonalPreconditioner:
-    diag = np.asarray(diag, dtype=float)
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        raise ValueError("operator diagonal must be finite and positive")
-    return DiagonalPreconditioner(values=1.0 / diag, kind="jacobi", space=space)
-
-
-def optimal_diagonal_preconditioner(diag, rowsq, space: str) -> DiagonalPreconditioner:
-    diag = np.asarray(diag, dtype=float)
-    rowsq = np.asarray(rowsq, dtype=float)
-    if np.any(rowsq <= 0) or not np.all(np.isfinite(rowsq)):
-        raise ValueError("row square-sums must be finite and positive")
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        raise ValueError("operator diagonal must be finite and positive")
-    return DiagonalPreconditioner(values=diag / rowsq, kind="optimal", space=space)
 
 
 def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
@@ -553,20 +536,22 @@ def _read_stats_entry(path: Path, n: int, key: str):
     ``CACHE_FORMAT`` built for ``key``, holding both arrays as finite,
     positive float64 grids of side n.
     """
+    # The entry's own handle: np.load stops owning a path's file once it
+    # sees the zip magic, and would leave it open if the archive is cut.
     try:
-        data = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise CacheEntryError(f"not an npz archive ({exc})") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise CacheEntryError("not an npz archive")
-    with data:
-        if not {"key", "version"} <= set(data.files):
-            raise CacheEntryError("no key or format version stored")
-        try:
-            version, stored_key = data["version"], data["key"]
-            stats = (data["diag"], data["rowsq"])
-        except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-            raise CacheEntryError(f"unreadable arrays ({exc})") from exc
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise CacheEntryError("not an npz archive")
+            with data:
+                if not {"key", "version"} <= set(data.files):
+                    raise CacheEntryError("no key or format version stored")
+                version, stored_key = data["version"], data["key"]
+                stats = (data["diag"], data["rowsq"])
+    except CacheEntryError:
+        raise
+    except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CacheEntryError(f"unreadable npz archive ({exc})") from exc
     if version.shape != () or version.dtype.kind not in "iu" or version != CACHE_FORMAT:
         raise CacheEntryError(f"format {version}, expected {CACHE_FORMAT}")
     if stored_key.shape != () or stored_key.dtype.kind != "U" or str(stored_key) != key:
@@ -675,12 +660,21 @@ class Reconstructor:
         return stats
 
     def preconditioner(self, inv_var, space: str, kind: str) -> DiagonalPreconditioner:
+        """Jacobi values 1 / diag(A), or optimal values diag(A) / rowsq(A).
+
+        Both statistics are positive: diag(A_u) >= 1 from the identity
+        term, diag(A_w) >= ||Kinv e_j||^2 > 0 as the invertible Kinv has
+        no zero column, and rowsq >= diag^2.  Entries read from disk are
+        checked for it.
+        """
         diag, rowsq = self._diagonal_stats(space, inv_var)
         if kind == "jacobi":
-            return jacobi_preconditioner(diag, space)
-        if kind == "optimal":
-            return optimal_diagonal_preconditioner(diag, rowsq, space)
-        raise ValueError(f"unknown preconditioner kind {kind!r}")
+            values = 1.0 / diag
+        elif kind == "optimal":
+            values = diag / rowsq
+        else:
+            raise ValueError(f"unknown preconditioner kind {kind!r}")
+        return DiagonalPreconditioner(values, kind, space)
 
     def reconstruct(self, slopes, config: SolverConfig, truth=None,
                     counter: FlopCounter | None = None):

@@ -313,6 +313,22 @@ def probe_reach(A):
     return reach
 
 
+def nearest_member_colours(n, origin, count, spacing, stride):
+    """``solver._axis_colours`` from the nearest member of each grid index:
+    the index k goes to member floor((2 (k - first) + span) / (2 span)) of
+    its colour's lattice extended past the grid, a tie to the later one,
+    and each member's run starts at the first index it gets."""
+    span = spacing * stride
+    k = np.arange(n)
+    for c in range(min(stride, count)):
+        first = origin + spacing * c
+        members = len(range(c, count, stride))
+        nearest = (2 * (k - first) + span) // (2 * span)
+        bounds = np.searchsorted(nearest, np.arange(members + 1))
+        yield (slice(first, first + span * (members - 1) + 1, span),
+               slice(bounds[0], bounds[-1]), bounds[:-1] - bounds[0])
+
+
 def full_support_pupil(n):
     """A ``Pupil`` with a subaperture on every cell of an n x n grid."""
     sy, sx = np.divmod(np.arange((n - 1) ** 2), n - 1)

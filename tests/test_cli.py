@@ -16,7 +16,7 @@ from fracwave.fileio import read_grid, read_slopes_csv
 from fracwave.harness import ExperimentSpec
 from fracwave.metrics import FlopCounter, residual_stats
 from fracwave.sensor import make_pupil
-from fracwave.solver import Reconstructor, SolverConfig
+from fracwave.solver import VARIANTS, Reconstructor, SolverConfig
 
 
 @pytest.fixture()
@@ -284,19 +284,21 @@ def test_simulate_refuses_a_grid_without_subapertures(tmp_path, capsys, recwarn,
     assert not recwarn.list
 
 
-def test_validation_failures_exit_2(tmp_path):
+def test_validation_failures_exit_2(tmp_path, capsys):
     assert main(["generate", "--p", "0", "--seed", "1", "--out", str(tmp_path / "x.bin")]) == 2
-    assert (
-        main(
-            [
-                "reconstruct",
-                str(tmp_path / "missing.csv"),
-                "--out",
-                str(tmp_path / "y.bin"),
-            ]
-        )
-        == 2
-    )
+    missing = str(tmp_path / "missing.csv")
+    assert main(["reconstruct", missing, "--out", str(tmp_path / "y.bin")]) == 2
+    capsys.readouterr()
+    # An unknown method is refused in-process, before the slope file is opened.
+    assert main(["reconstruct", missing, "--method", "newton",
+                 "--out", str(tmp_path / "y.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "'newton'" in err and missing not in err
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--help"])
+    assert exc.value.code == 0
+    listed = "".join(capsys.readouterr().out.split())  # however argparse wraps it
+    assert all(method in listed for method in VARIANTS)
 
 
 def test_malformed_slope_file_exits_2(pipeline, capsys):

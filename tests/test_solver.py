@@ -1,8 +1,11 @@
 """Normal equations, PCG, preconditioners, and the reconstruction front end."""
 
+import gc
+import itertools
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,15 +23,13 @@ from fracwave.solver import (
     NormalOperator,
     Reconstructor,
     SolverConfig,
-    jacobi_preconditioner,
     operator_diagonal_stats,
-    optimal_diagonal_preconditioner,
     pcg_solve,
 )
 from fracwave.turbulence import kolmogorov
 
 from oracles import (dense_grid_operator, dense_sensor_matrix, exhaustive_diagonal_stats,
-                     full_support_pupil, probe_reach)
+                     full_support_pupil, nearest_member_colours, probe_reach)
 
 P = 3
 N_SIDE = (1 << P) + 1
@@ -299,30 +300,28 @@ def test_probe_stride_covers_the_dense_coupling_radius(p, space, tmp_path):
                     assert (dy, dx) == (sy - 1, sx - 1), (support, level, kind)
 
 
+def test_axis_colours_give_each_index_to_its_nearest_member():
+    # Every axis colouring the probe forms at p = 1..10, and more: the
+    # probe's strides run from 2 to 5.
+    for p in range(1, 11):
+        n = (1 << p) + 1
+        for level in range(1, p + 1):
+            step = (n - 1) >> level
+            centres = 1 << (level - 1)
+            for odd, stride in itertools.product((0, 1), range(1, 7)):
+                args = (n, odd * step, centres + 1 - odd, 2 * step, stride)
+                got = list(solver._axis_colours(*args))
+                want = list(nearest_member_colours(*args))
+                assert len(got) == len(want), args
+                for (members, owned, starts), (ref_members, ref_owned, ref_starts) in zip(got, want):
+                    assert (members, owned) == (ref_members, ref_owned), args
+                    np.testing.assert_array_equal(starts, ref_starts)
+
+
 def test_colored_probe_rejects_coupling_beyond_its_stride():
     # A dense operator reaches rows no column of the probe owns.
     with pytest.raises(RuntimeError, match="stride"):
         operator_diagonal_stats(GridCounter(3, "u", fill=1.0))
-
-
-def test_preconditioner_formulas():
-    diag = np.array([[2.0, 4.0], [5.0, 10.0]])
-    rowsq = np.array([[8.0, 4.0], [50.0, 10.0]])
-    jac = jacobi_preconditioner(diag, "w")
-    np.testing.assert_allclose(jac.values, 1.0 / diag)
-    assert jac.kind == "jacobi" and jac.space == "w"
-    opt = optimal_diagonal_preconditioner(diag, rowsq, "u")
-    np.testing.assert_allclose(opt.values, diag / rowsq)
-    assert opt.kind == "optimal" and opt.space == "u"
-
-
-def test_preconditioner_validation():
-    with pytest.raises(ValueError):
-        jacobi_preconditioner(np.array([1.0, 0.0]), "w")
-    with pytest.raises(ValueError):
-        optimal_diagonal_preconditioner(np.array([1.0, -2.0]), np.array([1.0, 1.0]), "w")
-    with pytest.raises(ValueError):
-        optimal_diagonal_preconditioner(np.array([1.0, 1.0]), np.array([1.0, np.inf]), "w")
 
 
 def test_preconditioner_apply_charges_one_multiply_per_sample():
@@ -362,7 +361,7 @@ def test_pcg_matches_direct_solve():
 def test_pcg_preconditioned_still_correct():
     m = random_spd(40, seed=3)
     b = np.random.default_rng(4).normal(size=40)
-    pre = jacobi_preconditioner(np.diag(m), "w")
+    pre = DiagonalPreconditioner(1.0 / np.diag(m), "jacobi", "w")
     x, converged, _ = pcg_solve(
         rowwise(m), b[None], tol=1e-12, max_iter=200, preconditioner=pre
     )
@@ -426,7 +425,7 @@ def test_pcg_stack_follows_each_column_alone():
     b = np.random.default_rng(10).normal(size=(4, size))
     b[2] = 0.0  # done at the start
     b[3] = np.linalg.eigh(m)[1][:, 0]  # an eigenvector: done after one iteration
-    pre = jacobi_preconditioner(np.ones(size), "w")
+    pre = DiagonalPreconditioner(1.0 / np.ones(size), "jacobi", "w")
     for preconditioner in (None, pre):
         rows = [[] for _ in b]
         previous = np.zeros_like(b)
@@ -721,16 +720,18 @@ def test_check_slopes_rejects_other_layout(system, tmp_path):
         rec.check_slopes(foreign)
 
 
-def test_optimal_preconditioner_values_match_dense_probe(system, tmp_path):
+@pytest.mark.parametrize("kind", ["jacobi", "optimal"])
+def test_preconditioner_values_match_dense_probe(system, tmp_path, kind):
     _, op, pup, sh, _, slopes = system
     inv_var = 1.0 / slopes.var
     A = NormalOperator(op, sh, inv_var, "u")
     dense = dense_grid_operator(A.apply, N_SIDE)
     rec = Reconstructor(P, cache_dir=tmp_path)
-    pre = rec.preconditioner(inv_var, "u", "optimal")
-    np.testing.assert_allclose(
-        pre.values.ravel(), np.diag(dense) / (dense * dense).sum(axis=1), rtol=1e-10
-    )
+    pre = rec.preconditioner(inv_var, "u", kind)
+    assert pre.kind == kind and pre.space == "u"
+    diag = np.diag(dense)
+    want = 1.0 / diag if kind == "jacobi" else diag / (dense * dense).sum(axis=1)
+    np.testing.assert_allclose(pre.values.ravel(), want, rtol=1e-10)
 
 
 def test_preconditioner_cache_reuse(system, tmp_path):
@@ -847,6 +848,20 @@ def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
         assert sorted(data.files) == sorted(arrays)
         for name, value in arrays.items():
             np.testing.assert_array_equal(data[name], value)
+
+
+def test_truncated_cache_entry_leaves_no_file_open(system, tmp_path):
+    inv_var = 1.0 / system[5].var
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    rec.preconditioner(inv_var, "u", "optimal")
+    (entry,) = tmp_path.iterdir()
+    entry.write_bytes(entry.read_bytes()[:200])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(solver.CacheEntryError):
+            solver._read_stats_entry(entry, rec.n, rec._stats_key("u", inv_var))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 @pytest.mark.parametrize("where", ["regular-file", "failed-replace"])
