@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sense", help="measure noisy slopes of a screen")
     sp.add_argument("screen", help="input grid file")
-    sp.add_argument("--noise-std", type=float, default=1.0,
-                    help="slope noise standard deviation in rad (default 1.0)")
+    sp.add_argument("--noise-std", type=float, default=ExperimentSpec.noise_std,
+                    help="slope noise standard deviation in rad (default %(default)s)")
     common(sp, r0=False)
     sp.add_argument("--out", required=True, help="output slope CSV")
     sp.set_defaults(func=cmd_sense)
@@ -179,11 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte-Carlo convergence curves")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--noise-std", type=float, default=1.0)
+    sp.add_argument("--noise-std", type=float, default=ExperimentSpec.noise_std)
     sp.add_argument("--method", default=SolverConfig.method,
                     help="comma-separated solver variants, or 'all'")
     stopping(sp)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=int, default=ExperimentSpec.trials)
     common(sp)
     sp.add_argument("--out", required=True, help="output curves CSV")
     sp.set_defaults(func=cmd_simulate)

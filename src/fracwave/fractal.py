@@ -292,20 +292,27 @@ class FractalOperator:
         if self.p < 1:
             raise ValueError(f"need at least one refinement pass, got p={self.p}")
         self.n = (1 << self.p) + 1
-        self.levels = build_coefficients(sf, self.p)
         self.outer = build_outer_operator(sf, float(self.n - 1))
-        self.stages = tuple(s for lev in self.levels for s in _pass_stages(lev, self.n))
+        levels = build_coefficients(sf, self.p)
+        self.stages = tuple(s for lev in levels for s in _pass_stages(lev, self.n))
         K, K_inv = self.outer.forward_matrix, self.outer.inverse_matrix
         self._corner_matrix = {(False, False): K, (False, True): K_inv,
                                (True, False): K.T, (True, True): K_inv.T}
         self._alpha0 = np.ones((self.n, self.n))
+        self._weights = []
         for stage in self.stages:
-            for index, alpha0, _ in stage:
+            for index, alpha0, groups in stage:
                 self._alpha0[index] = alpha0
+                self._weights.extend(w for w, _ in groups)
         self._work = None     # workspace of the last grid shape, a view of a flat buffer
         self._scratch = None  # two flat buffers, each one finest centre stage
         self._programs = {}   # (transpose, inverse) -> steps bound to _work
         self._lock = threading.Lock()
+
+    @property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """K's corner matrix, the live alpha0 grid and the parent weights in table order."""
+        return self._corner_matrix[False, False], self._alpha0, np.array(self._weights)
 
     # -- plumbing ---------------------------------------------------------
 

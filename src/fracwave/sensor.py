@@ -73,9 +73,13 @@ def pupil_side(subap_x, subap_y) -> int:
     """Grid side n of the ``make_pupil`` layout that these subaperture
     indices would come from.  For every p = 3..10, ``make_pupil(2**p + 1)``
     places its subapertures at indices 1..n - 3 on both axes, so n is the
-    largest index plus 3.  Any other layout still fails the exact
-    comparison of ``Reconstructor.check_slopes``."""
-    return int(max(np.max(subap_x), np.max(subap_y))) + 3
+    largest index plus 3, and fills 0.31 to 0.70 of the (n - 1)**2 cells; a
+    layout filling under a quarter raises ValueError.  Any other layout
+    still fails the exact comparison of ``Reconstructor.check_slopes``."""
+    n = int(max(np.max(subap_x), np.max(subap_y))) + 3
+    if 4 * np.size(subap_x) < (n - 1) ** 2:
+        raise ValueError(f"{np.size(subap_x)} subapertures are too few for a grid of side {n}")
+    return n
 
 
 @dataclasses.dataclass

@@ -126,7 +126,7 @@ class NormalOperator:
         """
         x = np.asanyarray(x, dtype=float)
         if _first_pass and counter is not None:
-            raise ValueError("a pass-trimmed application is not charged")
+            raise ValueError("an application that skips the coarse passes is not charged")
         gather, scatter = self._maps(_first_pass)
         if self.space == "w":
             if screen is not None:
@@ -312,9 +312,8 @@ def operator_diagonal_stats(op: NormalOperator):
     ``PROBE_BATCH_FLOOR``; only the last batch may be smaller, so the
     multiscale maps bind at most two programs per build.  One basis
     stack, sized by the first batch, is refilled in place, and a u-space
-    ``NormalOperator`` gets one screen buffer of the same size.  A
-    ``NormalOperator`` also runs each batch's maps only over the passes
-    from its coarsest colour's on; any other operator is applied whole.
+    operator gets one screen buffer of the same size.  Each batch's maps
+    run only over the passes from its coarsest colour's on.
     Colours are formed lazily, one batch at a time.  Each pass logs one
     INFO progress line, with its strides, when its last probe is read,
     timed from the previous pass's line (a batch that spans two passes
@@ -336,7 +335,6 @@ def operator_diagonal_stats(op: NormalOperator):
     level = None
     pass_probes = probes = batches = 0
     basis = screen = None
-    trim = isinstance(op, NormalOperator)
 
     def finish_pass():
         # A row from a strictly finer pass gets every square it read; the
@@ -358,16 +356,12 @@ def operator_diagonal_stats(op: NormalOperator):
             # The first batch is the largest: every later one is as large
             # or is the stream's last.
             basis = np.zeros((len(batch), n, n))
-            if trim and op.space == "u":
-                screen = np.empty_like(basis)
+            screen = np.empty_like(basis) if op.space == "u" else None
         grids = basis[: len(batch)]
         for grid, (_, (y_members, *_), (x_members, *_)) in zip(grids, batch):
             grid[y_members, x_members] = 1.0
-        if trim:
-            ys = op.apply(grids, screen=None if screen is None else screen[: len(batch)],
-                          _first_pass=batch[0][0])
-        else:
-            ys = op.apply(grids)
+        ys = op.apply(grids, screen=None if screen is None else screen[: len(batch)],
+                      _first_pass=batch[0][0])
         for grid, y, (colour_level, y_colour, x_colour) in zip(grids, ys, batch):
             y_members, rows, y_starts = y_colour
             x_members, cols, x_starts = x_colour
@@ -580,8 +574,8 @@ class Reconstructor:
 
     Construct once per (p, r0) and reuse across trials: the diagonal
     preconditioner statistics are cached in memory and on disk, keyed by
-    the operator coefficients, the pupil and the noise weights.  Each
-    file stores its full key and is rebuilt when it does not match.
+    ``FractalOperator.coefficients``, the pupil and the noise weights.
+    Each file stores its full key and is rebuilt when it does not match.
     The disk cache lives in ``cache_dir``; None does not turn it off but
     picks ``$FRACWAVE_CACHE``, or ``~/.cache/fracwave`` when that is
     unset or empty.  A cache that cannot be written costs a warning, not
@@ -593,9 +587,7 @@ class Reconstructor:
             raise ValueError(f"p must be an integer, got {p!r}")
         self.p = int(p)
         self.n = (1 << self.p) + 1
-        self.r0 = float(r0)
-        self.sf = kolmogorov(self.r0, float(self.n - 1))
-        self.fractal = FractalOperator(self.sf, self.p)
+        self.fractal = FractalOperator(kolmogorov(float(r0), float(self.n - 1)), self.p)
         self.pupil: Pupil = make_pupil(self.n)
         self.sensor = ShackHartmann(self.pupil)
         self.cache_dir = _resolve_cache_dir(cache_dir)
@@ -615,12 +607,8 @@ class Reconstructor:
     def _stats_key(self, space: str, inv_var) -> str:
         h = hashlib.sha256()
         h.update(space.encode())
-        h.update(np.int64(self.n).tobytes())
-        o = self.fractal.outer
-        coeffs = [o.a, o.b, o.c]
-        for lev in self.fractal.levels:
-            coeffs.extend(lev.square + lev.triangle + lev.diamond)
-        h.update(np.asarray(coeffs, dtype=float).tobytes())
+        for values in self.fractal.coefficients:
+            h.update(values.tobytes())
         h.update(self.pupil.subap_x.astype(np.int64).tobytes())
         h.update(self.pupil.subap_y.astype(np.int64).tobytes())
         h.update(np.asarray(inv_var, dtype=float).tobytes())

@@ -349,6 +349,24 @@ def test_a_layout_of_no_grid_side_exits_2_before_building(tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_a_layout_too_sparse_for_its_grid_exits_2_before_building(tmp_path, capsys,
+                                                                 monkeypatch):
+    # One row at index 16382 implies a grid of side 16385, 2**14 + 1,
+    # whose n x n arrays take 2.1 GB each: refused before any is built.
+    slopes = tmp_path / "slopes.csv"
+    slopes.write_text("isub,ix,iy,dx,dy,var\n0,16382,1,0.5,0.5,1\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Reconstructor built for a layout too sparse for its grid")
+
+    monkeypatch.setattr(cli, "Reconstructor", refuse)
+    out = tmp_path / "never.bin"
+    assert main(["reconstruct", str(slopes), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(slopes) in err and "subaperture layout" in err and "16385" in err
+    assert not out.exists()
+
+
 def test_solver_defaults_come_from_solver_config():
     parser = cli.build_parser()
     default = SolverConfig()
@@ -357,6 +375,12 @@ def test_solver_defaults_come_from_solver_config():
         args = parser.parse_args(argv)
         assert SolverConfig(args.method, args.max_iter, args.tol) == default
     assert ExperimentSpec(p=3).configs() == (default,)
+    # The experiment defaults come from ExperimentSpec the same way.
+    spec = ExperimentSpec(p=3)
+    args = parser.parse_args(["simulate", "--p", "3", "--out", "curves.csv"])
+    assert (args.noise_std, args.trials) == (spec.noise_std, spec.trials)
+    args = parser.parse_args(["sense", "screen.bin", "--out", "slopes.csv"])
+    assert args.noise_std == spec.noise_std
 
 
 def test_a_repeated_method_exits_2_without_output(tmp_path, capsys):

@@ -73,6 +73,15 @@ def test_pupil_side_inverts_make_pupil():
         for index in (pup.subap_x, pup.subap_y):
             assert (index.min(), index.max()) == (1, n - 3)
         assert pupil_side(pup.subap_x, pup.subap_y) == n
+    # A layout that fills less than a quarter of its grid's cells is
+    # refused: one subaperture cannot imply a grid of side 16385.
+    with pytest.raises(ValueError, match="too few for a grid of side 16385"):
+        pupil_side(np.array([16382]), np.array([1]))
+    # At the bound: 16 subapertures fill a quarter of a side-9 grid.
+    x = np.arange(16) % 7
+    assert pupil_side(x[::-1], x) == 9
+    with pytest.raises(ValueError, match="15 subapertures"):
+        pupil_side(x[1:], x[1:])
 
 
 def test_pupil_validation():

@@ -201,7 +201,7 @@ def test_colored_probe_matches_exhaustive(p, space, batch, support, tmp_path, mo
 
 
 class GridCounter:
-    """Stand-in operator that counts the grids it is applied to."""
+    """Stand-in normal operator that counts the grids it is applied to."""
 
     def __init__(self, p, space, fill=0.0):
         self.n = (1 << p) + 1
@@ -210,7 +210,7 @@ class GridCounter:
         self.grids = 0
         self.largest = 0
 
-    def apply(self, x):
+    def apply(self, x, counter=None, screen=None, *, _first_pass=0):
         self.grids += x.shape[0]
         self.largest = max(self.largest, x.shape[0])
         return np.full_like(x, self.fill)
@@ -745,6 +745,21 @@ def test_preconditioner_cache_reuse(system, tmp_path):
     np.testing.assert_array_equal(first.values, again.values)
     # a different weighting must not hit the same entry
     Reconstructor(P, cache_dir=tmp_path).preconditioner(2.0 * inv_var, "u", "optimal")
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_calibrated_operator_does_not_read_an_uncalibrated_entry(system, tmp_path):
+    # A second Reconstructor shares the cache directory, then scales the
+    # alpha0 of its pass-2 centres: the entry the first one wrote no
+    # longer holds its statistics.
+    inv_var = 1.0 / system[5].var
+    Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    index, alpha0, _ = rec.fractal.stages[2][0]
+    rec.fractal._alpha0[index] = 1.3 * alpha0
+    pre = rec.preconditioner(inv_var, "u", "optimal")
+    diag, rowsq = operator_diagonal_stats(rec.system(inv_var, "u"))
+    np.testing.assert_array_equal(pre.values, diag / rowsq)
     assert len(list(tmp_path.iterdir())) == 2
 
 
