@@ -518,17 +518,18 @@ class CacheEntryError(ValueError):
     """A preconditioner cache entry that cannot be used as it stands."""
 
 
-# Layout of a cache entry: the arrays diag and rowsq, the full key they
-# were built for and this number.  Bump it when the layout changes.
-CACHE_FORMAT = 1
+# Layout of a cache entry: the key it was built for and one float64
+# array, stats = (diag, rowsq).  The key hashes this number, so bumping
+# it when the layout changes turns every older entry into a key mismatch.
+CACHE_FORMAT = 2
 
 
 def _read_stats_entry(path: Path, n: int, key: str):
     """(diag, rowsq) from a cache entry, checked like any outside input.
 
-    Raises CacheEntryError unless the file is an npz archive of format
-    ``CACHE_FORMAT`` built for ``key``, holding both arrays as finite,
-    positive float64 grids of side n.
+    Raises CacheEntryError unless the file is an npz archive built for
+    ``key`` whose ``stats`` holds diag and rowsq as finite, positive
+    float64 grids of side n.
     """
     # The entry's own handle: np.load stops owning a path's file once it
     # sees the zip magic, and would leave it open if the archive is cut.
@@ -538,26 +539,23 @@ def _read_stats_entry(path: Path, n: int, key: str):
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise CacheEntryError("not an npz archive")
             with data:
-                if not {"key", "version"} <= set(data.files):
-                    raise CacheEntryError("no key or format version stored")
-                version, stored_key = data["version"], data["key"]
-                stats = (data["diag"], data["rowsq"])
+                if not {"key", "stats"} <= set(data.files):
+                    raise CacheEntryError("no key or stats stored")
+                # A member that is not an .npy file loads as bytes.
+                stored_key, stats = np.asarray(data["key"]), np.asarray(data["stats"])
     except CacheEntryError:
         raise
-    except (KeyError, OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise CacheEntryError(f"unreadable npz archive ({exc})") from exc
-    if version.shape != () or version.dtype.kind not in "iu" or version != CACHE_FORMAT:
-        raise CacheEntryError(f"format {version}, expected {CACHE_FORMAT}")
     if stored_key.shape != () or stored_key.dtype.kind != "U" or str(stored_key) != key:
         raise CacheEntryError("built for another key")
-    for name, values in zip(("diag", "rowsq"), stats):
-        if values.shape != (n, n) or values.dtype != np.float64:
-            raise CacheEntryError(
-                f"{name} is {values.dtype} of shape {values.shape}, expected float64 of shape {(n, n)}"
-            )
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise CacheEntryError(f"{name} has non-finite or non-positive values")
-    return stats
+    if stats.shape != (2, n, n) or stats.dtype != np.float64:
+        raise CacheEntryError(
+            f"stats is {stats.dtype} of shape {stats.shape}, expected float64 of shape {(2, n, n)}"
+        )
+    if not np.all(np.isfinite(stats) & (stats > 0)):
+        raise CacheEntryError("stats has non-finite or non-positive values")
+    return stats[0], stats[1]
 
 
 def _resolve_cache_dir(cache_dir):
@@ -574,8 +572,10 @@ class Reconstructor:
 
     Construct once per (p, r0) and reuse across trials: the diagonal
     preconditioner statistics are cached in memory and on disk, keyed by
-    ``FractalOperator.coefficients``, the pupil and the noise weights.
-    Each file stores its full key and is rebuilt when it does not match.
+    ``CACHE_FORMAT``, the space, ``FractalOperator.coefficients``, the
+    pupil and the noise weights.  The disk holds one file per space and
+    p, ``diag-{space}-p{p}.npz``; it stores its full key and is rebuilt
+    and overwritten when that key does not match.
     The disk cache lives in ``cache_dir``; None does not turn it off but
     picks ``$FRACWAVE_CACHE``, or ``~/.cache/fracwave`` when that is
     unset or empty.  A cache that cannot be written costs a warning, not
@@ -604,21 +604,21 @@ class Reconstructor:
         ):
             raise ValueError("slope set does not match the pupil subaperture layout")
 
-    def _stats_key(self, space: str, inv_var) -> str:
+    def _stats_key(self, op: NormalOperator) -> str:
         h = hashlib.sha256()
-        h.update(space.encode())
+        h.update(f"{CACHE_FORMAT} {op.space}".encode())
         for values in self.fractal.coefficients:
             h.update(values.tobytes())
         h.update(self.pupil.subap_x.astype(np.int64).tobytes())
         h.update(self.pupil.subap_y.astype(np.int64).tobytes())
-        h.update(np.asarray(inv_var, dtype=float).tobytes())
+        h.update(op.inv_var.tobytes())
         return h.hexdigest()
 
-    def _diagonal_stats(self, space: str, inv_var):
-        key = self._stats_key(space, inv_var)
+    def _diagonal_stats(self, op: NormalOperator):
+        key = self._stats_key(op)
         if key in self._stats_cache:
             return self._stats_cache[key]
-        path = self.cache_dir / f"diag-{key[:32]}.npz"
+        path = self.cache_dir / f"diag-{op.space}-p{self.p}.npz"
         stats = None
         if path.exists():
             try:
@@ -628,14 +628,13 @@ class Reconstructor:
             else:
                 log.debug("preconditioner cache hit %s", path)
         if stats is None:
-            stats = operator_diagonal_stats(self.system(inv_var, space))
+            stats = operator_diagonal_stats(op)
             tmp = None
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz")
                 os.close(fd)
-                np.savez(tmp, diag=stats[0], rowsq=stats[1], key=np.array(key),
-                         version=np.array(CACHE_FORMAT))
+                np.savez(tmp, key=np.array(key), stats=np.stack(stats))
                 os.replace(tmp, path)
             except OSError as exc:
                 # An unusable cache location costs the next process a rebuild, not this solve.
@@ -653,15 +652,13 @@ class Reconstructor:
         Both statistics are positive: diag(A_u) >= 1 from the identity
         term, diag(A_w) >= ||Kinv e_j||^2 > 0 as the invertible Kinv has
         no zero column, and rowsq >= diag^2.  Entries read from disk are
-        checked for it.
+        checked for it.  The kind, space and weights are checked before
+        the cache is read or written.
         """
-        diag, rowsq = self._diagonal_stats(space, inv_var)
-        if kind == "jacobi":
-            values = 1.0 / diag
-        elif kind == "optimal":
-            values = diag / rowsq
-        else:
+        if kind not in ("jacobi", "optimal"):
             raise ValueError(f"unknown preconditioner kind {kind!r}")
+        diag, rowsq = self._diagonal_stats(self.system(inv_var, space))
+        values = 1.0 / diag if kind == "jacobi" else diag / rowsq
         return DiagonalPreconditioner(values, kind, space)
 
     def reconstruct(self, slopes, config: SolverConfig, truth=None,

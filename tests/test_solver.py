@@ -6,6 +6,7 @@ import logging
 import math
 import tracemalloc
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -739,13 +740,14 @@ def test_preconditioner_cache_reuse(system, tmp_path):
     inv_var = 1.0 / slopes.var
     first = Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == 1 and files[0].endswith(".npz")
+    assert files == [f"diag-u-p{P}.npz"]
     again = Reconstructor(P, cache_dir=tmp_path).preconditioner(inv_var, "u", "optimal")
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     np.testing.assert_array_equal(first.values, again.values)
-    # a different weighting must not hit the same entry
-    Reconstructor(P, cache_dir=tmp_path).preconditioner(2.0 * inv_var, "u", "optimal")
-    assert len(list(tmp_path.iterdir())) == 2
+    # a different weighting must not hit the entry, but replaces it
+    other = Reconstructor(P, cache_dir=tmp_path).preconditioner(2.0 * inv_var, "u", "optimal")
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
+    assert not np.array_equal(other.values, first.values)
 
 
 def test_calibrated_operator_does_not_read_an_uncalibrated_entry(system, tmp_path):
@@ -760,7 +762,46 @@ def test_calibrated_operator_does_not_read_an_uncalibrated_entry(system, tmp_pat
     pre = rec.preconditioner(inv_var, "u", "optimal")
     diag, rowsq = operator_diagonal_stats(rec.system(inv_var, "u"))
     np.testing.assert_array_equal(pre.values, diag / rowsq)
-    assert len(list(tmp_path.iterdir())) == 2
+    assert [p.name for p in tmp_path.iterdir()] == [f"diag-u-p{P}.npz"]
+
+
+def test_cache_holds_one_entry_per_space_and_grid(system, tmp_path, caplog):
+    # Weightings, alpha0 grids and spaces in turn at one p: each space's
+    # entry is replaced, never joined, and every value equals a fresh probe.
+    inv_var = 1.0 / system[5].var
+
+    def check(rec, weights, space):
+        pre = rec.preconditioner(weights, space, "optimal")
+        diag, rowsq = operator_diagonal_stats(rec.system(weights, space))
+        np.testing.assert_array_equal(pre.values, diag / rowsq)
+
+    check(Reconstructor(P, cache_dir=tmp_path), inv_var, "u")
+    check(Reconstructor(P, cache_dir=tmp_path), 2.0 * inv_var, "u")
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    index, alpha0, _ = rec.fractal.stages[2][0]
+    rec.fractal._alpha0[index] = 1.3 * alpha0
+    check(rec, inv_var, "u")
+    check(Reconstructor(P, cache_dir=tmp_path), inv_var, "w")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"diag-u-p{P}.npz", f"diag-w-p{P}.npz"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fracwave"):
+        check(Reconstructor(P, cache_dir=tmp_path), inv_var, "u")
+    (warning,) = caplog.records
+    assert "built for another key" in warning.getMessage()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"diag-u-p{P}.npz", f"diag-w-p{P}.npz"]
+
+
+@pytest.mark.parametrize("space, kind", [("u", "jacobii"), ("../u", "optimal")])
+def test_preconditioner_checks_its_request_before_the_cache(system, tmp_path, monkeypatch,
+                                                            space, kind):
+    def refuse(op):
+        raise AssertionError("the probe ran")
+
+    monkeypatch.setattr(solver, "operator_diagonal_stats", refuse)
+    rec = Reconstructor(P, cache_dir=tmp_path / "cache")
+    with pytest.raises(ValueError, match="kind" if space == "u" else "space"):
+        rec.preconditioner(np.ones(rec.pupil.nsub), space, kind)
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cache_dir_resolution(tmp_path, monkeypatch):
@@ -795,8 +836,8 @@ def test_cache_events_are_logged(system, tmp_path, caplog):
         assert hit.levelno == logging.DEBUG and "cache hit" in hit.getMessage()
 
 
-def _spoil(path, kind, arrays):
-    diag, rowsq = arrays["diag"], arrays["rowsq"]
+def _spoil(path, kind, arrays, other_format_key):
+    stats = arrays["stats"]
 
     def save(**changed):
         np.savez(path, **{name: value for name, value in dict(arrays, **changed).items()
@@ -808,42 +849,52 @@ def _spoil(path, kind, arrays):
         path.write_bytes(path.read_bytes()[:200])
     elif kind == "plain-npy":
         with open(path, "wb") as fh:
-            np.save(fh, diag)
+            np.save(fh, stats[0])
+    elif kind == "raw-members":
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("key", "not an npy file")
+            archive.writestr("stats", "nor this")
     elif kind == "missing-array":
-        save(rowsq=None)
+        save(stats=None)
     elif kind == "wrong-shape":
-        save(diag=diag[:-1], rowsq=rowsq[:-1])
+        save(stats=stats[:, :-1])
     elif kind == "wrong-dtype":
-        save(diag=diag.astype(np.float32))
+        save(stats=stats.astype(np.float32))
     elif kind == "non-finite":
-        bad = rowsq.copy()
-        bad[2, 3] = np.nan
-        save(rowsq=bad)
+        bad = stats.copy()
+        bad[1, 2, 3] = np.nan
+        save(stats=bad)
     elif kind == "non-positive":
-        bad = diag.copy()
-        bad[1, 1] = -1.0
-        save(diag=bad)
+        bad = stats.copy()
+        bad[0, 1, 1] = -1.0
+        save(stats=bad)
     elif kind == "no-key":
-        save(key=None, version=None)  # the layout before keys were stored
+        save(key=None)
     elif kind == "other-version":
-        save(version=np.array(solver.CACHE_FORMAT + 1))
+        save(key=np.array(other_format_key))
     else:
         raise AssertionError(kind)
 
 
 @pytest.mark.parametrize(
     "kind",
-    ["not-zip", "truncated-zip", "plain-npy", "missing-array", "wrong-shape",
+    ["not-zip", "truncated-zip", "plain-npy", "raw-members", "missing-array", "wrong-shape",
      "wrong-dtype", "non-finite", "non-positive", "no-key", "other-version", "other-key"],
 )
-def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
+def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, monkeypatch, kind):
     _, _, _, _, _, slopes = system
     config = SolverConfig("u-pcg-opt", max_iter=6, tol=1e-12)
-    w_ref, _ = Reconstructor(P, cache_dir=tmp_path).reconstruct(slopes, config)
+    rec = Reconstructor(P, cache_dir=tmp_path)
+    w_ref, _ = rec.reconstruct(slopes, config)
     (entry,) = tmp_path.iterdir()
+    assert entry.name == f"diag-u-p{P}.npz"
     with np.load(entry) as data:
         arrays = dict(data)
-    assert sorted(arrays) == ["diag", "key", "rowsq", "version"]
+    assert sorted(arrays) == ["key", "stats"]
+    with monkeypatch.context() as patch:
+        # The same entry as a later layout would key it.
+        patch.setattr(solver, "CACHE_FORMAT", solver.CACHE_FORMAT + 1)
+        other_format_key = rec._stats_key(rec.system(1.0 / slopes.var, "u"))
     if kind == "other-key":
         # A valid entry, but of another weighting: its statistics differ.
         other = tmp_path / "other"
@@ -852,7 +903,7 @@ def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, kind):
         source.replace(entry)
         other.rmdir()
     else:
-        _spoil(entry, kind, arrays)
+        _spoil(entry, kind, arrays, other_format_key)
     with caplog.at_level(logging.WARNING, logger="fracwave"):
         w_hat, _ = Reconstructor(P, cache_dir=tmp_path).reconstruct(slopes, config)
     np.testing.assert_array_equal(w_hat, w_ref)
@@ -874,7 +925,7 @@ def test_truncated_cache_entry_leaves_no_file_open(system, tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(solver.CacheEntryError):
-            solver._read_stats_entry(entry, rec.n, rec._stats_key("u", inv_var))
+            solver._read_stats_entry(entry, rec.n, rec._stats_key(rec.system(inv_var, "u")))
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
