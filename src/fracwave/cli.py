@@ -7,15 +7,18 @@ batch drivers ``simulate`` (Monte-Carlo convergence curves) and
 per sample by operator family on stderr.
 Exit codes: 0 success, 2 invalid inputs, 1 runtime failure.  ``main``
 returns 2 for an unknown ``--method`` as for any value the subcommands
-check; only argparse's own usage errors raise SystemExit.  ``-v``
-before the subcommand prints the ``fracwave`` logger's INFO records, such
-as a preconditioner build's progress per probe pass, on stderr.
+check, and before any work for a bad output path or too large a ``--p``;
+only argparse's own usage errors raise SystemExit.  ``-v`` before the
+subcommand prints the ``fracwave`` logger's INFO records, such as a
+preconditioner build's progress per probe pass, on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
+import os
 import sys
 
 import numpy as np
@@ -30,6 +33,33 @@ from .solver import VARIANTS, Reconstructor, SolverConfig
 from .turbulence import kolmogorov
 
 
+# Grids of side 2**p + 1 each ``--p`` command holds at its peak, measured
+# above the interpreter's own ~35 MB at p = 9, 10 with one BLAS thread
+# (every method, for simulate).
+PEAK_GRIDS = {"generate": 6, "simulate": 54, "validate-sf": 51}
+
+
+def physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
+def check_size(command: str, p: int):
+    """Refuse a grid whose estimated peak working set exceeds physical memory."""
+    try:
+        need = PEAK_GRIDS[command] * 8 * (2.0 ** p + 1) ** 2
+    except OverflowError:
+        need = math.inf
+    limit = physical_memory()
+    if limit is not None and need > limit:
+        raise ValueError(f"{command} at p={p} needs about {need / 1e9:.3g} GB at its peak, "
+                         f"more than the {limit / 1e9:.3g} GB of physical memory")
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     if text == "all":
         return tuple(sorted(VARIANTS))
@@ -37,7 +67,6 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 def cmd_generate(args) -> int:
-    fileio.ensure_parent(args.out)
     sf = kolmogorov(args.r0, float(1 << args.p))
     fractal = FractalOperator(sf, args.p)
     screen = draw_screen(fractal, trial_generator(args.seed, 0))
@@ -47,7 +76,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sense(args) -> int:
-    fileio.ensure_parent(args.out)
     screen = fileio.read_grid(args.screen)
     n = screen.shape[0]
     p = scale_count(n)
@@ -65,7 +93,6 @@ def cmd_sense(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     config = SolverConfig(args.method, args.max_iter, args.tol)
-    fileio.ensure_parent(args.out)
     slopes, _ = fileio.read_slopes_csv(args.slopes)
     # The layout fixes the grid: a side that is not 2**p + 1 is refused
     # before any n x n operator is built.
@@ -96,7 +123,6 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    fileio.ensure_parent(args.out)
     spec = ExperimentSpec(
         p=args.p, r0=args.r0, noise_std=args.noise_std,
         methods=_parse_methods(args.method), max_iter=args.max_iter,
@@ -117,7 +143,6 @@ def cmd_simulate(args) -> int:
 def cmd_validate_sf(args) -> int:
     if args.p < 2:
         raise ValueError(f"validate-sf needs p >= 2 to report radii 2 and up, got {args.p}")
-    fileio.ensure_parent(args.out)
     result = run_sf_validation(args.p, args.r0, args.trials, args.seed)
     meta = {"cmd": "validate-sf", "p": args.p, "r0": args.r0,
             "trials": args.trials, "seed": args.seed}
@@ -211,6 +236,14 @@ def main(argv=None) -> int:
         logger.addHandler(handler)
         logger.setLevel(logging.INFO)
     try:
+        outputs = [getattr(args, name) for name in ("out", "trace", "map")
+                   if getattr(args, name, None) is not None]
+        for path in outputs:
+            fileio.check_output(path)
+        if len(set(map(os.path.realpath, outputs))) < len(outputs):
+            raise ValueError(f"output paths must differ, got {' and '.join(outputs)}")
+        if args.command in PEAK_GRIDS:
+            check_size(args.command, args.p)
         return args.func(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

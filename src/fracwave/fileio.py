@@ -3,15 +3,16 @@
 Grid binary: magic b"FRIM", uint32 version (= 1), uint32 side n, then
 n * n float64 samples, row major, all little endian.
 
-CSV files carry one leading comment line of the form
-``# fracwave key=value ...`` recording the parameters that produced
-them, then a header row.  Slope files use the columns
-``isub,ix,iy,dx,dy,var``.
+CSV tables: a ``# fracwave key=value ...`` comment line ending in \n
+records the parameters that produced the file, then a header row and the
+data rows follow, each ending in \r\n.  Fields are unquoted and split by
+commas: integers in decimal, floats as ``format(x, ".17g")`` (exact on
+reading back), method names as they are.  These are csv.writer's bytes.
 """
 
 from __future__ import annotations
 
-import csv
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -72,29 +73,26 @@ def parse_comment(line: str) -> dict:
     return meta
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _write_table(path, meta: dict, header, columns, lines):
+    """Write ``columns``, one sequence per field; ``lines`` renders row tuples.
 
-
-def _open_csv(path, meta):
-    fh = open(path, "w", newline="")
-    fh.write(_comment(meta) + "\n")
-    return fh, csv.writer(fh)
+    Rows are listed and joined a block at a time: one join over all 45,028
+    rows of a p=8 slope file holds ~13 MB of strings at once.
+    """
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(_comment(meta) + "\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            rows = zip(*(c[start:start + _ROWS_PER_WRITE].tolist() for c in columns))
+            fh.write("\r\n".join(lines(rows)) + "\r\n")
 
 
 def write_slopes_csv(path, slopes: SlopeSet, meta: dict):
-    # The bytes csv.writer would write (no field needs quoting, lines end
-    # in \r\n), joined a block of rows at a time: one join over all 45,028
-    # rows of a p=8 file holds ~13 MB of strings at once.
-    columns = (slopes.subap_x.astype(int), slopes.subap_y.astype(int),
+    columns = (np.arange(slopes.nsub), slopes.subap_x.astype(int), slopes.subap_y.astype(int),
                slopes.sx, slopes.sy, slopes.var)
-    with open(path, "w", newline="") as fh:
-        fh.write(_comment(meta) + "\n")
-        fh.write(",".join(SLOPE_COLUMNS) + "\r\n")
-        for start in range(0, slopes.nsub, _ROWS_PER_WRITE):
-            rows = zip(*(c[start:start + _ROWS_PER_WRITE].tolist() for c in columns))
-            fh.write("".join(f"{i},{ix},{iy},{dx:.17g},{dy:.17g},{var:.17g}\r\n"
-                             for i, (ix, iy, dx, dy, var) in enumerate(rows, start)))
+    _write_table(path, meta, SLOPE_COLUMNS, columns, lambda rows: (
+        f"{i},{ix},{iy},{dx:.17g},{dy:.17g},{var:.17g}" for i, ix, iy, dx, dy, var in rows))
 
 
 def read_slopes_csv(path) -> tuple[SlopeSet, dict]:
@@ -106,20 +104,24 @@ def read_slopes_csv(path) -> tuple[SlopeSet, dict]:
     meta: dict = {}
     with open(path) as fh:
         line = fh.readline()
+        skip = 1
         if line.startswith("#"):
             meta = parse_comment(line)
             line = fh.readline()
-        if not line.strip():
-            raise ValueError(f"{path}: missing slope header row")
-        header = line.strip().split(",")
-        if header != SLOPE_COLUMNS:
-            raise ValueError(f"{path}: unexpected slope columns {header}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body warns
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed slope row: {exc}") from exc
+            skip = 2
+    if not line.strip():
+        raise ValueError(f"{path}: missing slope header row")
+    header = line.strip().split(",")
+    if header != SLOPE_COLUMNS:
+        raise ValueError(f"{path}: unexpected slope columns {header}")
+    # By path, not by handle: numpy then reads the body in chunks, not line
+    # by line, which takes ~12% less time on a p=8 file's 45,028 rows.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body warns
+            data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed slope row: {exc}") from exc
     if data.size == 0:
         raise ValueError(f"{path}: no slope rows")
     if data.shape[1] != 6:
@@ -140,35 +142,34 @@ def read_slopes_csv(path) -> tuple[SlopeSet, dict]:
 
 
 def write_trace_csv(path, trace, meta: dict):
-    fh, writer = _open_csv(path, meta)
-    with fh:
-        writer.writerow(["iter", "flops", "rnorm", "resid_var", "resid_var_norm", "strehl"])
-        for it, flops, rnorm, var, var_norm, strehl in trace.rows():
-            writer.writerow([it, flops, _fmt(rnorm), _fmt(var), _fmt(var_norm), _fmt(strehl)])
+    header = ["iter", "flops", "rnorm", "resid_var", "resid_var_norm", "strehl"]
+    _write_table(path, meta, header, zip(*trace.rows()), lambda rows: (
+        f"{k},{flops},{rnorm:.17g},{var:.17g},{norm:.17g},{strehl:.17g}"
+        for k, flops, rnorm, var, norm, strehl in rows))
 
 
 def write_curves_csv(path, result, meta: dict):
     """Median convergence curves of a Monte-Carlo simulation."""
-    fh, writer = _open_csv(path, meta)
-    with fh:
-        writer.writerow(["method", "iter", "flops", "resid_var_median", "resid_var_norm_median"])
-        for method in result.spec.methods:
-            flops = np.median(result.iteration_flops[method], axis=0)
-            med_var = result.median_variance(method)
-            med_norm = result.median_normalized(method)
-            for k in range(med_var.size):
-                writer.writerow([method, k, int(flops[k]), _fmt(med_var[k]), _fmt(med_norm[k])])
+    methods, steps = result.spec.methods, result.spec.max_iter + 1
+    columns = (np.repeat(methods, steps), np.tile(np.arange(steps), len(methods)),
+               np.concatenate([np.median(result.iteration_flops[m], axis=0) for m in methods]),
+               np.concatenate([result.median_variance(m) for m in methods]),
+               np.concatenate([result.median_normalized(m) for m in methods]))
+    header = ["method", "iter", "flops", "resid_var_median", "resid_var_norm_median"]
+    _write_table(path, meta, header, columns, lambda rows: (
+        f"{method},{k},{int(flops)},{var:.17g},{norm:.17g}"
+        for method, k, flops, var, norm in rows))
 
 
 def write_sf_csv(path, radii, measured, expected, meta: dict):
-    fh, writer = _open_csv(path, meta)
-    with fh:
-        writer.writerow(["r", "D_measured", "D_theory"])
-        for r, m, t in zip(radii, measured, expected):
-            writer.writerow([_fmt(r), _fmt(m), _fmt(t)])
+    _write_table(path, meta, ["r", "D_measured", "D_theory"], (radii, measured, expected),
+                 lambda rows: (f"{r:.17g},{m:.17g},{t:.17g}" for r, m, t in rows))
 
 
-def ensure_parent(path):
+def check_output(path):
+    """Refuse an output path that names a directory or whose directory is missing."""
+    if Path(path).is_dir() or str(path).endswith(("/", os.sep)):
+        raise ValueError(f"output path names a directory: {path}")
     parent = Path(path).resolve().parent
     if not parent.is_dir():
         raise ValueError(f"output directory does not exist: {parent}")

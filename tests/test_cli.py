@@ -314,6 +314,83 @@ def test_malformed_slope_file_exits_2(pipeline, capsys):
     assert not out.exists()
 
 
+# Each output option of each subcommand, with every other argument valid;
+# "{}" marks the output under test.
+OUTPUT_ARGV = {
+    "generate --out": ["generate", "--p", "3", "--out", "{}"],
+    "sense --out": ["sense", "{screen}", "--out", "{}"],
+    "reconstruct --out": ["reconstruct", "{slopes}", "--out", "{}"],
+    "reconstruct --trace": ["reconstruct", "{slopes}", "--out", "{tmp}/w.grid", "--trace", "{}"],
+    "simulate --out": ["simulate", "--p", "3", "--trials", "1", "--max-iter", "2", "--out", "{}"],
+    "validate-sf --out": ["validate-sf", "--p", "3", "--trials", "2", "--out", "{}"],
+    "validate-sf --map": ["validate-sf", "--p", "3", "--trials", "2", "--out", "{tmp}/sf.csv",
+                          "--map", "{}"],
+}
+BAD_OUTPUTS = {
+    "missing-parent": ("{tmp}/nodir/x.out", "output directory does not exist"),
+    "directory": ("{tmp}", "names a directory"),
+    "trailing-slash": ("{tmp}/new/", "names a directory"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_OUTPUTS))
+@pytest.mark.parametrize("option", sorted(OUTPUT_ARGV))
+def test_a_bad_output_path_exits_2_before_any_work(pipeline, capsys, option, bad):
+    tmp_path, screen, slopes = pipeline
+    before = sorted(tmp_path.rglob("*"))
+    path, message = BAD_OUTPUTS[bad]
+    names = {"screen": screen, "slopes": slopes, "tmp": tmp_path}
+    argv = [arg.replace("{}", path).format(**names) for arg in OUTPUT_ARGV[option]]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_two_outputs_on_one_path_exit_2_before_any_work(pipeline, capsys):
+    tmp_path, _, slopes = pipeline
+    before = sorted(tmp_path.rglob("*"))
+    same = str(tmp_path / "x.out")
+    for argv in (["reconstruct", str(slopes), "--out", same, "--trace", same],
+                 ["validate-sf", "--p", "3", "--trials", "2", "--out", same,
+                  "--map", str(tmp_path / "." / "x.out")]):
+        assert main(argv) == 2
+        assert "output paths must differ" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_size_guard_refuses_a_grid_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a grid the size guard should have refused")
+
+    for name in ("FractalOperator", "run_simulation", "run_sf_validation"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "physical_memory", lambda: 10**6)
+    out = tmp_path / "never.out"
+    for command, grids in cli.PEAK_GRIDS.items():
+        need = grids * 8 * 257**2
+        assert main([command, "--p", "8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} at p=8 needs about {need / 1e9:.3g} GB" in err
+        assert "0.001 GB of physical memory" in err
+    assert not out.exists()
+    # Where the platform does not report its memory, nothing is refused.
+    monkeypatch.setattr(cli, "physical_memory", lambda: None)
+    cli.check_size("simulate", 10**6)
+
+
+def test_size_guard_reads_the_machine(tmp_path, capsys):
+    if cli.physical_memory() is None:
+        pytest.skip("the platform does not report its physical memory")
+    out = tmp_path / "never.grid"
+    for p in (40, 10**6):  # the second estimate overflows a float
+        assert main(["generate", "--p", str(p), "--out", str(out)]) == 2
+        assert f"generate at p={p} needs about" in capsys.readouterr().err
+    assert not out.exists()
+    cli.check_size("simulate", 3)
+
+
 def test_reconstruct_takes_its_grid_from_the_layout(pipeline):
     tmp_path, _, slopes = pipeline
     lines = slopes.read_text().splitlines()

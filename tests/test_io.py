@@ -2,12 +2,13 @@
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 
 from fracwave.fileio import (
-    ensure_parent,
+    check_output,
     parse_comment,
     read_grid,
     read_slopes_csv,
@@ -17,9 +18,9 @@ from fracwave.fileio import (
     write_slopes_csv,
     write_trace_csv,
 )
-from fracwave.harness import ExperimentSpec, run_simulation
+from fracwave.harness import ExperimentSpec, SimulationResult, run_simulation
 from fracwave.sensor import SlopeSet, make_pupil, simulate_measurements
-from fracwave.solver import Reconstructor, SolverConfig
+from fracwave.solver import ConvergenceTrace, Reconstructor, SolverConfig
 
 
 @pytest.fixture()
@@ -76,31 +77,74 @@ def test_slopes_round_trip(tmp_path, grid):
     assert path.read_text().splitlines()[1] == "isub,ix,iy,dx,dy,var"
 
 
+# Floats whose .17g forms differ in kind: signed zero, subnormals, long
+# mantissas, exponents, and (for the derived tables) nan.
+EXTREMES = [-0.0, 0.0, 1.0, -3.0, 5e-324, 2.2250738585072009e-308,
+            0.1, 1 / 3, -2.7182818284590451, 1e300, 123456789012345678.0]
+
+
+def _csv_writer_bytes(meta_line, header, rows):
+    expected = io.StringIO(newline="")
+    expected.write(meta_line + "\n")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expected.getvalue().encode()
+
+
+def _g(x):
+    return format(float(x), ".17g")
+
+
 def test_slopes_write_matches_csv_writer(tmp_path):
-    # The writer joins f-strings in blocks of rows; its bytes must stay
-    # those csv.writer writes for the same rows, extreme values included,
-    # over enough rows to span several blocks.
-    values = [-0.0, 0.0, 1.0, -3.0, 5e-324, 2.2250738585072009e-308,
-              0.1, 1 / 3, -2.7182818284590451, 1e300, 123456789012345678.0]
+    # The four table writers join f-strings in blocks of rows; their bytes
+    # must stay those csv.writer writes for the same rows, extreme values
+    # included, over enough rows to span several blocks.
     count = 5000
-    values = np.resize(values, count)
+    values = np.resize(EXTREMES, count)
     slopes = SlopeSet(
         subap_x=np.arange(count), subap_y=np.arange(count)[::-1].copy(),
         sx=values, sy=values[::-1].copy(), var=np.abs(values) + 5e-324,
     )
     path = tmp_path / "slopes.csv"
     write_slopes_csv(path, slopes, {"p": 3})
-    expected = io.StringIO(newline="")
-    expected.write("# fracwave p=3\n")
-    writer = csv.writer(expected)
-    writer.writerow(["isub", "ix", "iy", "dx", "dy", "var"])
-    for i in range(count):
-        writer.writerow([i, int(slopes.subap_x[i]), int(slopes.subap_y[i])]
-                        + [format(float(a[i]), ".17g") for a in (slopes.sx, slopes.sy, slopes.var)])
+    rows = [[i, int(slopes.subap_x[i]), int(slopes.subap_y[i])]
+            + [_g(a[i]) for a in (slopes.sx, slopes.sy, slopes.var)] for i in range(count)]
     data = path.read_bytes()
-    assert data == expected.getvalue().encode()
+    header = ["isub", "ix", "iy", "dx", "dy", "var"]
+    assert data == _csv_writer_bytes("# fracwave p=3", header, rows)
     for rendered in (b",-0,", b",1,", b",4.9406564584124654e-324", b",1.2345678901234568e+17"):
         assert rendered in data
+
+    floats = np.resize(EXTREMES + [math.nan], count).tolist()
+    trace = ConvergenceTrace("u-cg", list(range(count)), [7 * k + 2**62 for k in range(count)],
+                             floats, floats[::-1], floats[1:] + floats[:1], floats[2:] + floats[:2])
+    write_trace_csv(path, trace, {"method": "u-cg"})
+    header = ["iter", "flops", "rnorm", "resid_var", "resid_var_norm", "strehl"]
+    rows = [[k, flops] + [_g(x) for x in rest] for k, flops, *rest in trace.rows()]
+    data = path.read_bytes()
+    assert data == _csv_writer_bytes("# fracwave method=u-cg", header, rows)
+    assert b",nan" in data
+
+    methods, steps = ("w-cg", "u-pcg-opt"), 3000
+    spec = ExperimentSpec(p=3, methods=methods, max_iter=steps - 1, trials=3)
+    block = np.resize(EXTREMES, (3, steps))
+    result = SimulationResult(spec, {m: 1e6 * np.abs(block) + 0.75 for m in methods},
+                              {m: block for m in methods}, {m: -block for m in methods}, {})
+    write_curves_csv(path, result, {"p": 3})
+    header = ["method", "iter", "flops", "resid_var_median", "resid_var_norm_median"]
+    rows = []
+    for m in methods:
+        flops = np.median(result.iteration_flops[m], axis=0)
+        var, norm = result.median_variance(m), result.median_normalized(m)
+        rows += [[m, k, int(flops[k]), _g(var[k]), _g(norm[k])] for k in range(steps)]
+    assert path.read_bytes() == _csv_writer_bytes("# fracwave p=3", header, rows)
+
+    radii = np.arange(1, count + 1) / 7
+    write_sf_csv(path, radii, values, values[::-1], {"trials": 10})
+    rows = [[_g(r), _g(m), _g(t)] for r, m, t in zip(radii, values, values[::-1])]
+    expected = _csv_writer_bytes("# fracwave trials=10", ["r", "D_measured", "D_theory"], rows)
+    assert path.read_bytes() == expected
 
 
 def _slope_file(tmp_path, grid, edit=None):
@@ -204,9 +248,13 @@ def test_sf_csv_layout(tmp_path):
     assert len(lines) == 5
 
 
-def test_ensure_parent_validates_output_directory(tmp_path):
+def test_check_output_refuses_missing_parent_and_directory(tmp_path):
     # fails fast with a clear message instead of surprising the caller
     # with freshly created directory trees
     with pytest.raises(ValueError, match="does not exist"):
-        ensure_parent(tmp_path / "a" / "b" / "c.csv")
-    ensure_parent(tmp_path / "c.csv")  # existing parent passes silently
+        check_output(tmp_path / "a" / "b" / "c.csv")
+    for directory in (tmp_path, str(tmp_path / "new") + "/"):
+        with pytest.raises(ValueError, match="names a directory"):
+            check_output(directory)
+    check_output(tmp_path / "c.csv")  # existing parent passes silently
+    assert list(tmp_path.iterdir()) == []
