@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .fractal import FractalOperator, is_integer
-from .metrics import empirical_structure_function, radial_profile
+from .metrics import empirical_structure_function, normalized_variance, radial_profile
 from .sensor import simulate_measurements
 from .solver import Reconstructor, SolverConfig
 from .turbulence import kolmogorov
@@ -78,19 +78,23 @@ class ExperimentSpec:
 
 @dataclasses.dataclass
 class SimulationResult:
-    """Per-trial convergence histories, one (trials, max_iter + 1) block per method."""
+    """Per-trial convergence histories, one (trials, max_iter + 1) block per method;
+    ``resid_var_norm`` is derived from ``resid_var`` on read, as in the trace."""
 
     spec: ExperimentSpec
     iteration_flops: dict[str, np.ndarray]
     resid_var: dict[str, np.ndarray]
-    resid_var_norm: dict[str, np.ndarray]
     input_digests: dict[str, list[str]]
+
+    @property
+    def resid_var_norm(self) -> dict[str, np.ndarray]:
+        return {method: normalized_variance(var) for method, var in self.resid_var.items()}
 
     def median_variance(self, method: str) -> np.ndarray:
         return np.median(self.resid_var[method], axis=0)
 
     def median_normalized(self, method: str) -> np.ndarray:
-        return np.median(self.resid_var_norm[method], axis=0)
+        return np.median(normalized_variance(self.resid_var[method]), axis=0)
 
 
 def _padded(values, length):
@@ -112,7 +116,6 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None) -> SimulationResult:
     rows = spec.max_iter + 1
     flops = {m: np.zeros((spec.trials, rows)) for m in spec.methods}
     var = {m: np.zeros((spec.trials, rows)) for m in spec.methods}
-    var_norm = {m: np.zeros((spec.trials, rows)) for m in spec.methods}
     digests: dict[str, list[str]] = {m: [] for m in spec.methods}
 
     chunk = max(1, CHUNK_BYTES // (8 * recon.n * recon.n))
@@ -136,12 +139,8 @@ def run_simulation(spec: ExperimentSpec, cache_dir=None) -> SimulationResult:
             for t, trace in zip(trials, traces):
                 flops[method][t] = _padded(trace.flops, rows)
                 var[method][t] = _padded(trace.resid_var, rows)
-                var_norm[method][t] = _padded(trace.resid_var_norm, rows)
 
-    return SimulationResult(
-        spec=spec, iteration_flops=flops, resid_var=var,
-        resid_var_norm=var_norm, input_digests=digests,
-    )
+    return SimulationResult(spec, flops, var, digests)
 
 
 @dataclasses.dataclass

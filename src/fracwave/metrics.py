@@ -55,6 +55,14 @@ def residual_stats(w_hat, w_true, pupil):
     return np.sqrt(var), var
 
 
+def normalized_variance(variance):
+    """Each row (last axis) over its first, iteration-0 entry; NaN throughout
+    a row whose first entry is not positive."""
+    variance = np.asarray(variance, dtype=float)
+    base = variance[..., :1]
+    return np.divide(variance, base, out=np.full(variance.shape, np.nan), where=base > 0)
+
+
 def strehl_ratio(variance):
     """Marechal estimate exp(-variance) for residual phase variances."""
     variance = np.asarray(variance, dtype=float)

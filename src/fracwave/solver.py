@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .fractal import FractalOperator, is_integer, scale_count
-from .metrics import FlopCounter, residual_stats, strehl_ratio
+from .metrics import FlopCounter, normalized_variance, residual_stats, strehl_ratio
 from .sensor import Pupil, ShackHartmann, SlopeSet, make_pupil
 from .turbulence import kolmogorov
 
@@ -415,10 +415,11 @@ def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
     ``apply_a`` was last called on; it is 0 at k = 0 and in the columns
     that did not step, whose x stays as it was.  So a monitor can carry
     any linear image of x, such as L x_k = L x_{k-1} + alpha * L p_k, from
-    the L p_k that ``apply_a`` forms.  Returns (x, converged, iterations):
-    ``converged`` per column, ``iterations`` the number run, the longest
-    column's.  A nonpositive curvature p . A p in a running column aborts
-    with IndefiniteOperatorError.
+    the L p_k that ``apply_a`` forms.  A monitor may keep ``rnorm`` and
+    ``stepped``: the solve never writes to them.  Returns (x, converged,
+    iterations): ``converged`` per column, ``iterations`` the number run,
+    the longest column's.  A nonpositive curvature p . A p in a running
+    column aborts with IndefiniteOperatorError.
     """
 
     def add(family, count):
@@ -490,28 +491,33 @@ def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
 
 @dataclasses.dataclass
 class ConvergenceTrace:
-    """Per-iteration record of one solve; row 0 is the initial state.
+    """What one solve measured per iteration; row 0 is the initial state.
 
-    Residual-to-truth columns are NaN when no truth was supplied.
-    ``flops`` is cumulative; ``total_flops`` additionally includes work
-    done after the last iteration (e.g. mapping generators to a screen).
+    ``flops`` is cumulative, ``total_flops`` adds work done after the last
+    iteration (e.g. mapping generators to a screen), and ``resid_var`` is
+    NaN without a truth.  Derived from it on read: ``resid_var_norm``, each
+    value over the iteration-0 one (``normalized_variance``), and the
+    Marechal ``strehl``, exp(-resid_var) (``strehl_ratio``).
     """
 
-    method: str
-    iterations: list[int]
     flops: list[int]
     rnorm: list[float]
     resid_var: list[float]
-    resid_var_norm: list[float]
-    strehl: list[float]
     converged: bool = False
     total_flops: int = 0
 
-    def rows(self):
-        return list(
-            zip(self.iterations, self.flops, self.rnorm, self.resid_var,
-                self.resid_var_norm, self.strehl)
-        )
+    @property
+    def iterations(self) -> list[int]:
+        return list(range(len(self.flops)))
+
+    @property
+    def resid_var_norm(self) -> list[float]:
+        return normalized_variance(self.resid_var).tolist()
+
+    @property
+    def strehl(self) -> list[float]:
+        var = np.asarray(self.resid_var, dtype=float)
+        return (var if np.isnan(var).all() else strehl_ratio(var)).tolist()
 
 
 class CacheEntryError(ValueError):
@@ -672,20 +678,19 @@ class Reconstructor:
         set along its own recurrence (see ``pcg_solve``), so each trace is
         the one a solve on its own would record.
 
-        The estimate keeps its piston component; piston-blind comparison
-        is the metrics' job.  With ``truth`` given, the trace records
-        piston-removed residual variance (absolute and normalised by the
-        iteration-0 value) and the Strehl estimate per iteration.  In
-        u-space those need the screen K x_k of each iterate; it is carried
-        by linearity, w_0 = 0 and w_k = w_{k-1} + alpha_k K p_k, from the
-        screen K p_k that A_u forms anyway, so a monitored iteration costs
-        the same two maps as an unmonitored one plus one axpy.  That image
-        is diagnostic work and not charged; it agrees with a direct K x_k
-        to roundoff.  The returned estimate is K x applied directly, and
-        charged.  Flops are the counter's growth divided by the stack
-        size: every charged operation runs on every slope set, so this is
-        exact, and a slope set that converged early is charged for the
-        iterations it sat out in ``total_flops`` only.
+        The estimate keeps its piston component; piston-blind comparison is
+        the metrics' job.  With a finite ``truth`` the trace records the
+        piston-removed residual variance per iteration.  In u-space that needs
+        the screen K x_k of each iterate; it is carried by linearity, w_0 = 0
+        and w_k = w_{k-1} + alpha_k K p_k, from the screen K p_k that A_u
+        forms anyway, so a monitored iteration costs the same two maps as an
+        unmonitored one plus one axpy.  That image is diagnostic work and not
+        charged; it agrees with a direct K x_k to roundoff.  The returned
+        estimate is K x applied directly, and charged.  Flops are the
+        counter's growth divided by the stack size: every charged operation
+        runs on every slope set, so this is exact, and a slope set that
+        converged early is charged for the iterations it sat out in
+        ``total_flops`` only.
         """
         single = isinstance(slopes, SlopeSet)
         stack = [slopes] if single else list(slopes)
@@ -703,6 +708,8 @@ class Reconstructor:
             if truth.shape != (columns, self.n, self.n):
                 raise ValueError(f"need one {self.n} x {self.n} truth per slope set, "
                                  f"got shape {truth.shape}")
+            if not np.all(np.isfinite(truth)):
+                raise ValueError("truth holds non-finite samples")
         if counter is None:
             counter = FlopCounter()
         start = counter.total
@@ -714,12 +721,6 @@ class Reconstructor:
             precond = self.preconditioner(inv_var, space, config.preconditioner)
         b = op.rhs(stack, counter)
 
-        traces = [
-            ConvergenceTrace(method=config.method, iterations=[], flops=[], rnorm=[],
-                             resid_var=[], resid_var_norm=[], strehl=[])
-            for _ in stack
-        ]
-        base_var = None
         apply_a = op.apply
         image = None
         if truth is not None and space == "u":
@@ -732,32 +733,20 @@ class Reconstructor:
         def column_flops():
             return start + (counter.total - start) // columns
 
+        # One stack-wide (flops, rnorm, resid_var, stepped) per monitor call;
+        # a column's trace is the prefix where it stepped: it never restarts.
+        records = []
+
         def monitor(k, x, rnorm, stepped, alpha):
-            nonlocal base_var, image
-            (cols,) = np.nonzero(stepped)
-            flops = column_flops()
-            var = norm = strehl = np.full(cols.size, math.nan)
+            nonlocal image
+            var = np.full(columns, math.nan)
             if truth is not None:
                 if image is not None:
                     image += alpha[:, None, None] * kp  # diagnostic, not charged
                 # The whole stack, frozen columns too, takes no fancy copy;
                 # each row still sums in the order of a lone one.
                 _, var = residual_stats(x if image is None else image, truth, self.pupil)
-                if base_var is None:
-                    base_var = var
-                var, base = var[cols], base_var[cols]
-                norm = np.divide(var, base, out=np.full(cols.size, math.nan), where=base > 0)
-                strehl = strehl_ratio(var)
-            rows = zip(cols.tolist(), rnorm[cols].tolist(), var.tolist(), norm.tolist(),
-                       strehl.tolist())
-            for col, rnorm_k, var_k, norm_k, strehl_k in rows:
-                trace = traces[col]
-                trace.iterations.append(k)
-                trace.flops.append(flops)
-                trace.rnorm.append(rnorm_k)
-                trace.resid_var.append(var_k)
-                trace.resid_var_norm.append(norm_k)
-                trace.strehl.append(strehl_k)
+            records.append((column_flops(), rnorm, var, stepped))
 
         x, converged, _ = pcg_solve(
             apply_a, b, tol=config.tol, max_iter=config.max_iter,
@@ -768,9 +757,11 @@ class Reconstructor:
             self.fractal.apply(w_hat, counter)
         else:
             w_hat = x
-        for trace, done in zip(traces, converged):
-            trace.converged = bool(done)
-            trace.total_flops = column_flops()
+        flops, rnorm, var, stepped = zip(*records)
+        rnorm, var = np.array(rnorm).T.tolist(), np.array(var).T.tolist()
+        rows = np.count_nonzero(stepped, axis=0).tolist()
+        traces = [ConvergenceTrace(list(flops[:m]), rnorm[c][:m], var[c][:m],
+                                   bool(converged[c]), column_flops()) for c, m in enumerate(rows)]
         if single:
             return w_hat[0], traces[0]
         return w_hat, traces

@@ -150,11 +150,10 @@ def test_chunked_trials_match_one_solve_per_trial(tmp_path, monkeypatch, p, meth
         for t, trace in enumerate(alone[m]):
             flops = np.array(harness._padded(trace.flops, rows))
             assert np.array_equal(res.iteration_flops[m][t].astype(np.int64), flops)
-            np.testing.assert_allclose(res.resid_var[m][t], harness._padded(trace.resid_var, rows),
-                                       rtol=1e-12, atol=0)
-            np.testing.assert_allclose(res.resid_var_norm[m][t],
-                                       harness._padded(trace.resid_var_norm, rows),
-                                       rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(res.resid_var[m][t],
+                                          harness._padded(trace.resid_var, rows))
+            np.testing.assert_array_equal(res.resid_var_norm[m][t],
+                                          harness._padded(trace.resid_var_norm, rows))
     if tol == 0.5:
         assert [alone["u-cg"][t].iterations[-1] for t in range(chunk)] == [1, 1, 2]
 

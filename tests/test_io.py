@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,21 +117,25 @@ def test_slopes_write_matches_csv_writer(tmp_path):
     for rendered in (b",-0,", b",1,", b",4.9406564584124654e-324", b",1.2345678901234568e+17"):
         assert rendered in data
 
+    # The derived columns: resid_var over its first value, and exp(-resid_var)
+    # where the variances are those of a truth, or nan throughout without one.
+    flops = [7 * k + 2**62 for k in range(count)]
     floats = np.resize(EXTREMES + [math.nan], count).tolist()
-    trace = ConvergenceTrace("u-cg", list(range(count)), [7 * k + 2**62 for k in range(count)],
-                             floats, floats[::-1], floats[1:] + floats[:1], floats[2:] + floats[:2])
-    write_trace_csv(path, trace, {"method": "u-cg"})
     header = ["iter", "flops", "rnorm", "resid_var", "resid_var_norm", "strehl"]
-    rows = [[k, flops] + [_g(x) for x in rest] for k, flops, *rest in trace.rows()]
-    data = path.read_bytes()
-    assert data == _csv_writer_bytes("# fracwave method=u-cg", header, rows)
-    assert b",nan" in data
+    truth_var = np.abs(np.resize(EXTREMES[::-1], count))
+    for var, norm, strehl in ((truth_var, truth_var / truth_var[0], np.exp(-truth_var)),
+                              ([math.nan] * count,) * 3):
+        write_trace_csv(path, ConvergenceTrace(flops, floats, list(var)), {"method": "u-cg"})
+        rows = [[k, flops[k]] + [_g(c[k]) for c in (floats, var, norm, strehl)]
+                for k in range(count)]
+        assert path.read_bytes() == _csv_writer_bytes("# fracwave method=u-cg", header, rows)
+    assert b",nan,nan,nan\r\n" in path.read_bytes()
 
     methods, steps = ("w-cg", "u-pcg-opt"), 3000
     spec = ExperimentSpec(p=3, methods=methods, max_iter=steps - 1, trials=3)
-    block = np.resize(EXTREMES, (3, steps))
+    block = np.resize(np.roll(EXTREMES, -2), (3, steps))  # rows start positive
     result = SimulationResult(spec, {m: 1e6 * np.abs(block) + 0.75 for m in methods},
-                              {m: block for m in methods}, {m: -block for m in methods}, {})
+                              {m: block for m in methods}, {})
     write_curves_csv(path, result, {"p": 3})
     header = ["method", "iter", "flops", "resid_var_median", "resid_var_norm_median"]
     rows = []
@@ -155,7 +160,8 @@ def _slope_file(tmp_path, grid, edit=None):
     write_slopes_csv(path, slopes, {"p": 3, "noise_std": 0.7})
     if edit is not None:
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
+        # A lone surrogate such as "\udce9" is written as the raw byte 0xe9.
+        path.write_text("\n".join(edit(lines)) + "\n", errors="surrogateescape")
     return path
 
 
@@ -183,13 +189,16 @@ BAD_SLOPE_FILES = {
     "fractional-iy": lambda lines: _set_field(lines, 3, 2, "2.5"),
     "nan-isub": lambda lines: _set_field(lines, 3, 0, "nan"),
     "out-of-range-isub": lambda lines: _set_field(lines, 3, 0, "99999"),
+    "non-utf8-comment": lambda lines: [lines[0] + " note=caf\udce9"] + lines[1:],
+    "non-utf8-header": lambda lines: [lines[0], lines[1] + "\udce9"] + lines[2:],
+    "non-utf8-body": lambda lines: _set_field(lines, 3, 3, "\udce9"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_SLOPE_FILES))
 def test_slopes_read_rejects_malformed_file(tmp_path, grid, kind):
     path = _slope_file(tmp_path, grid, BAD_SLOPE_FILES[kind])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read_slopes_csv(path)
 
 

@@ -555,16 +555,18 @@ def test_trace_bookkeeping(system, tmp_path):
     )
     k = trace.iterations[-1]
     assert trace.iterations == list(range(k + 1))
+    assert len(trace.flops) == len(trace.rnorm) == len(trace.resid_var) == k + 1
     assert all(b > a for a, b in zip(trace.flops, trace.flops[1:]))
+    # the derived columns, bit for bit
+    var = np.array(trace.resid_var)
+    assert trace.resid_var_norm == (var / var[0]).tolist()
+    assert trace.strehl == np.exp(-var).tolist()
     assert trace.resid_var_norm[0] == 1.0
     assert trace.resid_var[-1] < trace.resid_var[0]
     assert all(0.0 < s <= 1.0 for s in trace.strehl)
     # the u-space answer pays one extra generator-to-screen map
     assert trace.total_flops == trace.flops[-1] + fractal_apply_flops(SIZE)
     assert counter.total == trace.total_flops
-    rows = trace.rows()
-    assert len(rows) == k + 1
-    assert rows[0][0] == 0 and len(rows[0]) == 6
 
 
 def test_reconstruct_stack_equals_single_solves(system, tmp_path):
@@ -582,9 +584,8 @@ def test_reconstruct_stack_equals_single_solves(system, tmp_path):
             alone_counter = FlopCounter()
             w_alone, alone = rec.reconstruct(item, cfg, truth=truth, counter=alone_counter)
             np.testing.assert_array_equal(w_hat, w_alone)
-            assert trace.rows() == alone.rows()
-            assert trace.total_flops == alone.total_flops == alone_counter.total
-            assert trace.converged == alone.converged
+            assert trace == alone  # every stored field, bit for bit
+            assert alone.total_flops == alone_counter.total
         assert counter.total == 3 * traces[0].total_flops
 
 
@@ -690,6 +691,26 @@ def test_reconstruct_stack_validation(system, tmp_path):
         rec.reconstruct([slopes, other], cfg)
     with pytest.raises(ValueError):
         rec.reconstruct([slopes, slopes], cfg, truth=w_true)
+
+
+def test_non_finite_truth_is_refused_before_any_statistics(system, tmp_path, monkeypatch):
+    _, _, _, _, w_true, slopes = system
+    rec = Reconstructor(P, cache_dir=tmp_path)
+
+    def no_build(op):
+        raise AssertionError("statistics built for a refused truth")
+
+    monkeypatch.setattr(solver, "operator_diagonal_stats", no_build)
+    cfg = SolverConfig("u-pcg-opt", max_iter=4)
+    for bad in (math.nan, math.inf, -math.inf):
+        truth = w_true.copy()
+        truth[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            rec.reconstruct(slopes, cfg, truth=truth)
+        with pytest.raises(ValueError, match="non-finite"):
+            rec.reconstruct([slopes, slopes], cfg, truth=np.stack([w_true, truth]))
+    assert rec._stats_cache == {}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_truth_free_trace_marks_quality_columns_nan(system, tmp_path):
