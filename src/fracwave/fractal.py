@@ -283,6 +283,15 @@ class FractalOperator:
     per-call view and temporary building that sets the wall clock of
     small grids.  One operator serves one thread at a time; a map called
     while another runs raises RuntimeError.
+
+    Each map takes a keyword ``first``, an integer pass in 0..p (0, the
+    default, is the whole map).  From ``first`` > 0 on, a map runs only
+    the passes >= first, as a slice of its bound program, and no corner
+    step.  A gather (K, K^-1) of a grid that is zero below pass ``first``
+    is then exact on every sample: the skipped steps only move zeros.  A
+    scatter (K^T, K^-T) is exact on the samples of pass ``first`` or
+    finer, which no skipped step writes.  Such a run is not the map and
+    takes no counter: it raises ValueError if given one.
     """
 
     def __init__(self, sf, p: int):
@@ -410,16 +419,13 @@ class FractalOperator:
         _run(program)
         W[...] = self._work
 
-    def _map(self, grid, counter, transpose, inverse, first=0):
+    def _map(self, grid, counter, transpose, inverse, first):
         # K and K^-T run the corner step first, K^-1 and K^T last; the
         # alpha0 scale always sits between it and the passes.
-        #
-        # From ``first`` > 0 on, a map runs only the passes >= first, as a
-        # slice of its bound program, and no corner step.  A gather (K,
-        # K^-1) of a grid that is zero below pass ``first`` is then exact
-        # on every row: the skipped steps only move zeros.  A scatter (K^T,
-        # K^-T) is exact on the rows of pass ``first`` or finer, which no
-        # skipped step writes.  The probe runs it with no counter.
+        if not (is_integer(first) and 0 <= first <= self.p):
+            raise ValueError(f"first must be an integer pass in 0..{self.p}, got {first!r}")
+        if first and counter is not None:
+            raise ValueError("a map that skips the coarse passes takes no counter")
         W = self._grid(grid)
         scale = np.divide if inverse else np.multiply
         M = self._corner_matrix[transpose, inverse]
@@ -443,18 +449,18 @@ class FractalOperator:
 
     # -- the four maps ----------------------------------------------------
 
-    def apply(self, grid, counter=None):
+    def apply(self, grid, counter=None, *, first=0):
         """Overwrite generators with the correlated screen (w = K u)."""
-        return self._map(grid, counter, transpose=False, inverse=False)
+        return self._map(grid, counter, False, False, first)
 
-    def apply_inverse(self, grid, counter=None):
+    def apply_inverse(self, grid, counter=None, *, first=0):
         """Overwrite a screen with its generators (u = K^-1 w)."""
-        return self._map(grid, counter, transpose=False, inverse=True)
+        return self._map(grid, counter, False, True, first)
 
-    def apply_transpose(self, grid, counter=None):
+    def apply_transpose(self, grid, counter=None, *, first=0):
         """Apply the transpose of the forward map (z = K^T z), in place."""
-        return self._map(grid, counter, transpose=True, inverse=False)
+        return self._map(grid, counter, True, False, first)
 
-    def apply_inverse_transpose(self, grid, counter=None):
+    def apply_inverse_transpose(self, grid, counter=None, *, first=0):
         """Apply the inverse transpose (z = K^-T z), in place."""
-        return self._map(grid, counter, transpose=True, inverse=True)
+        return self._map(grid, counter, True, True, first)

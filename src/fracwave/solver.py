@@ -111,29 +111,26 @@ class NormalOperator:
         self.n = fractal.n
         self._cells = sensor.cell_weights(inv_var)
 
-    def apply(self, x, counter=None, screen=None, *, _first_pass=0) -> np.ndarray:
+    def apply(self, x, counter=None, screen=None, *, first=0) -> np.ndarray:
         """A x.  In u-space, ``screen`` may name a float64 array of x's
         shape to hold the screen K x that A_u forms on the way: it serves
         as that working buffer in place of a fresh copy of x, so the
         caller reads K x there afterwards with no copy and no second map.
         A x is the same either way.
 
-        ``_first_pass`` serves the preconditioner probe: for an x that is
-        zero below that refinement pass, the multiscale maps run only the
-        passes from it on (``FractalOperator._map``), and A x is exact on
-        the rows of that pass or finer only.  Such an application takes no
-        counter.
+        ``first`` goes to both multiscale maps (see ``FractalOperator``):
+        for an x that is zero below that pass, A x is then exact on the
+        samples of that pass or finer only.  The preconditioner probe
+        uses it; every solve runs the whole maps.
         """
         x = np.asanyarray(x, dtype=float)
-        if _first_pass and counter is not None:
-            raise ValueError("an application that skips the coarse passes is not charged")
-        gather, scatter = self._maps(_first_pass)
+        f = self.fractal
         if self.space == "w":
             if screen is not None:
                 raise ValueError("only a u-space operator forms a screen K x")
             out = x.copy()
-            gather(out, counter)
-            scatter(out, counter)
+            f.apply_inverse(out, counter, first=first)
+            f.apply_inverse_transpose(out, counter, first=first)
             out += self.sensor.gram(x, self._cells, counter)
         else:
             if screen is None:
@@ -142,26 +139,13 @@ class NormalOperator:
                 raise ValueError(f"screen buffer has shape {screen.shape}, expected {x.shape}")
             else:
                 screen[...] = x
-            gather(screen, counter)
+            f.apply(screen, counter, first=first)
             out = self.sensor.gram(screen, self._cells, counter)
-            scatter(out, counter)
+            f.apply_transpose(out, counter, first=first)
             out += x
         if counter is not None:
             counter.add("vector", x.size)
         return out
-
-    def _maps(self, first):
-        """(K, K^T) in u-space or (K^-1, K^-T) in w-space, each called as
-        map(grid, counter); with ``first`` > 0 they run the passes from
-        ``first`` on only."""
-        f = self.fractal
-        inverse = self.space == "w"
-        if not first:
-            if inverse:
-                return f.apply_inverse, f.apply_inverse_transpose
-            return f.apply, f.apply_transpose
-        return tuple(functools.partial(f._map, transpose=transpose, inverse=inverse, first=first)
-                     for transpose in (False, True))
 
     def rhs(self, slopes, counter=None) -> np.ndarray:
         """Stack of right-hand sides b, one per slope set of a sequence."""
@@ -361,7 +345,7 @@ def operator_diagonal_stats(op: NormalOperator):
         for grid, (_, (y_members, *_), (x_members, *_)) in zip(grids, batch):
             grid[y_members, x_members] = 1.0
         ys = op.apply(grids, screen=None if screen is None else screen[: len(batch)],
-                      _first_pass=batch[0][0])
+                      first=batch[0][0])
         for grid, y, (colour_level, y_colour, x_colour) in zip(grids, ys, batch):
             y_members, rows, y_starts = y_colour
             x_members, cols, x_starts = x_colour
@@ -417,9 +401,10 @@ def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
     any linear image of x, such as L x_k = L x_{k-1} + alpha * L p_k, from
     the L p_k that ``apply_a`` forms.  A monitor may keep ``rnorm`` and
     ``stepped``: the solve never writes to them.  Returns (x, converged,
-    iterations): ``converged`` per column, ``iterations`` the number run,
-    the longest column's.  A nonpositive curvature p . A p in a running
-    column aborts with IndefiniteOperatorError.
+    column_iterations): ``converged`` per column, ``column_iterations``
+    the sum over columns of the iterations each column stepped (a lone
+    system's iteration count).  A nonpositive curvature p . A p in a
+    running column aborts with IndefiniteOperatorError.
     """
 
     def add(family, count):
@@ -445,7 +430,7 @@ def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
     live = ~(rnorm <= tol * bnorm)
     if monitor is not None:
         monitor(0, x, rnorm, np.ones(columns, dtype=bool), np.zeros(columns))
-    iterations = 0
+    iterations = column_iterations = 0
     rho_prev = None
     p = None
     # count_nonzero: a third of the call overhead of .any() on small masks
@@ -454,7 +439,8 @@ def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
         rho = dot(r, z)
         add("vector", dot_flops)
         live = live & (rho != 0.0)
-        if not np.count_nonzero(live):
+        running = np.count_nonzero(live)
+        if not running:
             break
         if p is None:
             p = z.copy()
@@ -480,13 +466,14 @@ def pcg_solve(apply_a, b, *, tol: float, max_iter: int,
         add("vector", 2 * size)
         rho_prev = rho
         iterations += 1
+        column_iterations += running
         rnorm = np.sqrt(dot(r, r))
         add("vector", dot_flops)
         stepped = live
         live = stepped & ~(rnorm <= tol * bnorm)
         if monitor is not None:
             monitor(iterations, x, rnorm, stepped, alpha)
-    return x, ~live, iterations
+    return x, ~live, column_iterations
 
 
 @dataclasses.dataclass
@@ -687,10 +674,10 @@ class Reconstructor:
         unmonitored one plus one axpy.  That image is diagnostic work and not
         charged; it agrees with a direct K x_k to roundoff.  The returned
         estimate is K x applied directly, and charged.  Flops are the
-        counter's growth divided by the stack size: every charged operation
-        runs on every slope set, so this is exact, and a slope set that
-        converged early is charged for the iterations it sat out in
-        ``total_flops`` only.
+        counter's growth in this call, whatever it held before, divided by
+        the stack size: every charged operation runs on every slope set, so
+        this is exact, and a slope set that converged early is charged for
+        the iterations it sat out in ``total_flops`` only.
         """
         single = isinstance(slopes, SlopeSet)
         stack = [slopes] if single else list(slopes)
@@ -731,7 +718,7 @@ class Reconstructor:
             apply_a = functools.partial(op.apply, screen=kp)
 
         def column_flops():
-            return start + (counter.total - start) // columns
+            return (counter.total - start) // columns
 
         # One stack-wide (flops, rnorm, resid_var, stepped) per monitor call;
         # a column's trace is the prefix where it stepped: it never restarts.

@@ -223,6 +223,50 @@ def covariance_matrix(sf, points):
     return cov
 
 
+# The law's covariance sigma^2 - f/2 is indefinite on a whole grid (sigma^2
+# pins the covariance of the two most remote corners to 0); this many
+# sigma^2 make it positive definite.  The added piston is invisible to the
+# slopes and to piston-removed residuals.
+LAW_PISTON = 100.0
+
+
+def law_covariance(sf, index, n):
+    """LAW_PISTON * sigma^2 - f(r) / 2 between the flat samples ``index`` of
+    an n x n grid."""
+    y, x = np.divmod(np.asarray(index), n)
+    r = np.hypot(y[:, None] - y, x[:, None] - x)
+    return LAW_PISTON * sf.variance - 0.5 * sf.evaluate(r)
+
+
+def exact_law_screens(sf, n, rngs):
+    """One n x n screen per generator, drawn exactly from the law: L z with
+    L the Cholesky factor of ``law_covariance`` over all n**2 samples and z
+    the generator's next n**2 standard normals."""
+    L = np.linalg.cholesky(law_covariance(sf, np.arange(n * n), n))
+    return np.stack([(L @ rng.standard_normal(n * n)).reshape(n, n) for rng in rngs])
+
+
+def dense_mmse(sf, pupil, noise_var):
+    """Expected piston-removed residual variance, over the pupil, of the dense
+    minimum-variance estimate C S^T (S C S^T + N)^-1 d of a screen drawn from
+    the law, with C its covariance and N = noise_var I.
+
+    That is the mean diagonal of M P M, with P = C - C S^T (S C S^T + N)^-1 S C
+    the posterior covariance and M the piston removal.  The slopes read
+    only pupil samples, so C and S are restricted to them.
+    """
+    index = pupil.sample_index
+    S = dense_sensor_matrix(pupil)
+    assert not S[:, np.setdiff1d(np.arange(pupil.n ** 2), index)].any()
+    S = S[:, index]
+    C = law_covariance(sf, index, pupil.n)
+    CSt = C @ S.T
+    G = S @ CSt + noise_var * np.eye(len(S))
+    P = C - CSt @ np.linalg.solve(G, CSt.T)
+    m = len(index)
+    return (np.trace(P) - P.sum() / m) / m
+
+
 def dense_sensor_matrix(pupil):
     """Dense [Sx; Sy] built subaperture by subaperture."""
     n = pupil.n

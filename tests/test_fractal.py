@@ -173,23 +173,45 @@ def test_maps_from_a_pass_on_keep_the_bits_they_promise(p, monkeypatch):
     _, op = make_op(p)
     n = op.n
     passes = sample_passes(n)
-    maps = {"apply": (False, False), "apply_inverse": (False, True),
-            "apply_transpose": (True, False), "apply_inverse_transpose": (True, True)}
     for shape in ((n, n), (2, n, n)):
         x = np.random.default_rng(p).normal(size=shape)
-        for name, (transpose, inverse) in maps.items():
+        for name in MAPS:
+            transpose = "transpose" in name
             getattr(op, name)(x.copy())
             programs = dict(op._programs)
             for first in range(p + 1):
                 grid = x if transpose else np.where(passes >= first, x, 0.0)
                 ran.clear()
-                got = op._map(grid.copy(), None, transpose, inverse, first)
+                got = getattr(op, name)(grid.copy(), first=first)
                 assert ran == [25 * (p - max(first, 1) + 1)]
                 want = getattr(op, name)(grid.copy())
                 rows = passes >= first if transpose else np.ones((n, n), dtype=bool)
                 assert np.array_equal(got[..., rows].view(np.uint64),
                                       want[..., rows].view(np.uint64)), (shape, name, first)
             assert op._programs == programs
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_a_map_refuses_a_counter_from_a_pass_on_and_a_first_outside_its_passes(name):
+    # Both refusals come before any work: the grid keeps its values and
+    # the counter stays empty.
+    _, op = make_op(3)
+    x = random_grids(3, 2, seed=4)
+    for first in (1, 3):
+        counter = FlopCounter()
+        y = x.copy()
+        with pytest.raises(ValueError, match="no counter"):
+            getattr(op, name)(y, counter, first=first)
+        np.testing.assert_array_equal(y, x)
+        assert counter.tallies() == {}
+    for first in (-1, 4, 1.0, True, None, "1"):
+        y = x.copy()
+        with pytest.raises(ValueError, match="first must be an integer pass in 0..3"):
+            getattr(op, name)(y, first=first)
+        np.testing.assert_array_equal(y, x)
+    counter = FlopCounter()
+    getattr(op, name)(x.copy(), counter, first=np.int64(0))
+    assert counter.total == 2 * fractal_apply_flops(op.n * op.n)
 
 
 def test_a_map_refuses_to_run_while_another_holds_the_workspace():

@@ -2,7 +2,9 @@
 
 ``benchmark/tracing.py`` reads each target from its owner's ``__dict__``,
 so renaming or moving one of them breaks ``benchmark/run.py --trace 1``
-with a KeyError; this test fails first.
+with a KeyError; this test fails first.  It also sees every multiscale
+map a cold preconditioner build runs and every iteration of each column
+of a stacked solve, which its per-layer figures count.
 """
 
 import importlib
@@ -24,6 +26,9 @@ def test_benchmark_tracer_wraps_and_restores_its_targets(monkeypatch, tmp_path):
     patched += [(solver, "pcg_solve"), (Reconstructor, "reconstruct")]
     originals = [owner.__dict__[attr] for owner, attr in patched]
 
+    # Probe batches of the floor size, so that all but the first run their
+    # maps from a pass > 0 on.
+    monkeypatch.setattr(solver, "PROBE_BATCH_BYTES", 0)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -32,8 +37,13 @@ def test_benchmark_tracer_wraps_and_restores_its_targets(monkeypatch, tmp_path):
         rng = trial_generator(0, 0)
         truth = draw_screen(rec.fractal, rng)
         slopes = simulate_measurements(truth, rec.pupil, 0.5, rng)
-        _, trace = rec.reconstruct(slopes, SolverConfig("u-pcg-opt", 4, 1e-30), truth=truth)
+        config = SolverConfig("u-pcg-opt", 4, 1e-30)
+        _, trace = rec.reconstruct(slopes, config, truth=truth)
         write_trace_csv(tmp_path / "trace.csv", trace, {})  # reads the derived Strehl column
+        layers = tracer.layer_metrics(1, rec.n * rec.n)
+        # A stack counts the iterations of each of its columns.
+        rec.reconstruct([slopes] * 3, config)
+        stacked_iterations = tracer.iterations - layers["solver.iterations"]
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in zip(patched, originals))
@@ -42,8 +52,22 @@ def test_benchmark_tracer_wraps_and_restores_its_targets(monkeypatch, tmp_path):
     assert {"solver.init", "solver.reconstruct", "solver.pcg_solve", "solver.normal_apply",
             "solver.operator_diagonal_stats", "metrics.residual_stats",
             "metrics.strehl_ratio"} <= names
-    assert tracer.iterations == 4
-    layers = tracer.layer_metrics(1, rec.n * rec.n)
+    assert layers["solver.iterations"] == 4
+    assert stacked_iterations == 12
+
+    # Every map of the cold build is traced, below the build: each probe
+    # grid goes through K and K^T.
+    def in_build(span):
+        while span[3] >= 0:
+            span = tracer.spans[span[3]]
+            if span[0] == "solver.operator_diagonal_stats":
+                return True
+        return False
+
+    build_maps = [span for span in tracer.spans
+                  if span[0].startswith("fractal.") and span[0] != "fractal.init" and in_build(span)]
+    assert {span[0] for span in build_maps} == {"fractal.forward", "fractal.transpose"}
+    assert sum(span[4] for span in build_maps) == 2 * layers["solver.precond_build_applies"] > 0
     # one residual per monitor call, iterations 0..4, and one Strehl read
     assert layers["metrics.diagnostics_calls"] == 6
     assert layers["solver.cache_builds"] == 1
