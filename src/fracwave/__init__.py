@@ -7,7 +7,6 @@ iteration.
 """
 
 from .fractal import (CoefficientError, FractalOperator, OuterOperator,
-                      ScaleCoefficients, build_coefficients,
                       build_outer_operator, scale_count)
 from .harness import (ExperimentSpec, SimulationResult, draw_screen,
                       run_sf_validation, run_simulation, trial_generator)

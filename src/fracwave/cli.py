@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         if args.command in PEAK_GRIDS:
             check_size(args.command, args.p)
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort boundary

@@ -54,21 +54,6 @@ class CoefficientError(ValueError):
 
 
 @dataclasses.dataclass(frozen=True)
-class ScaleCoefficients:
-    """Interpolation weights for one refinement pass.
-
-    ``cell`` is the parent cell size r in grid steps.  Weight tuples put
-    alpha0 first; parent weights are equal within the square and diamond
-    configurations by symmetry.
-    """
-
-    cell: int
-    square: tuple[float, float]            # (alpha0, alpha_parent)
-    triangle: tuple[float, float, float]   # (alpha0, alpha_end, alpha_centre)
-    diamond: tuple[float, float]           # (alpha0, alpha_parent)
-
-
-@dataclasses.dataclass(frozen=True)
 class OuterOperator:
     """4 x 4 factor seeding the support corners from four generators.
 
@@ -162,24 +147,6 @@ def diamond_coefficients(sf, r) -> tuple[float, float]:
     return square_coefficients(sf, r / SQRT2)
 
 
-def build_coefficients(sf, p: int) -> list[ScaleCoefficients]:
-    """Per-pass weights, coarsest first (cell = 2**p down to 2)."""
-    if p < 1:
-        raise ValueError(f"need at least one refinement pass, got p={p}")
-    levels = []
-    for k in range(p, 0, -1):
-        r = 1 << k
-        levels.append(
-            ScaleCoefficients(
-                cell=r,
-                square=square_coefficients(sf, r),
-                triangle=triangle_coefficients(sf, r),
-                diamond=diamond_coefficients(sf, r),
-            )
-        )
-    return levels
-
-
 def build_outer_operator(sf, extent) -> OuterOperator:
     """Corner factor for a square support of side ``extent`` grid steps."""
     sigma2 = sf.variance
@@ -215,8 +182,8 @@ def scale_count(side: int) -> int:
 _CORNERS = (Ellipsis, np.array([0, 0, 1, 1]), np.array([0, 1, 1, 0]))
 
 
-def _pass_stages(lev: ScaleCoefficients, n: int):
-    """(centre stage, edge stage) of one refinement pass on an n x n grid.
+def _pass_stages(sf, r: int, n: int):
+    """(centre stage, edge stage) of the pass of parent cell r on an n x n grid.
 
     A stage is a tuple of targets ``(index, alpha0, ((weight, parents),
     ...))``; ``index`` and each parent are ``(..., rows, cols)`` tuples of
@@ -224,13 +191,12 @@ def _pass_stages(lev: ScaleCoefficients, n: int):
     midpoints on rows, then the same targets with each index pair swapped
     for the midpoints on columns.
     """
-    r = lev.cell
     h = r >> 1
     mid = slice(h, None, r)                          # cell centres along an axis
     lo, hi = slice(0, n - 1, r), slice(r, None, r)   # the two ends of each cell side
-    a0, ap = lev.square
-    t0, te, tc = lev.triangle
-    d0, dp = lev.diamond
+    a0, ap = square_coefficients(sf, r)
+    t0, te, tc = triangle_coefficients(sf, r)
+    d0, dp = diamond_coefficients(sf, r)
     centre = [((mid, mid), a0, ((ap, ((lo, lo), (lo, hi), (hi, lo), (hi, hi))),))]
     if r == n - 1:
         # First pass: both boundary rows read the one centre row h.
@@ -302,17 +268,15 @@ class FractalOperator:
             raise ValueError(f"need at least one refinement pass, got p={self.p}")
         self.n = (1 << self.p) + 1
         self.outer = build_outer_operator(sf, float(self.n - 1))
-        levels = build_coefficients(sf, self.p)
-        self.stages = tuple(s for lev in levels for s in _pass_stages(lev, self.n))
+        self.stages = tuple(stage for k in range(self.p, 0, -1)
+                            for stage in _pass_stages(sf, 1 << k, self.n))
         K, K_inv = self.outer.forward_matrix, self.outer.inverse_matrix
         self._corner_matrix = {(False, False): K, (False, True): K_inv,
                                (True, False): K.T, (True, True): K_inv.T}
         self._alpha0 = np.ones((self.n, self.n))
-        self._weights = []
         for stage in self.stages:
-            for index, alpha0, groups in stage:
+            for index, alpha0, _ in stage:
                 self._alpha0[index] = alpha0
-                self._weights.extend(w for w, _ in groups)
         self._work = None     # workspace of the last grid shape, a view of a flat buffer
         self._scratch = None  # two flat buffers, each one finest centre stage
         self._programs = {}   # (transpose, inverse) -> steps bound to _work
@@ -321,7 +285,8 @@ class FractalOperator:
     @property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """K's corner matrix, the live alpha0 grid and the parent weights in table order."""
-        return self._corner_matrix[False, False], self._alpha0, np.array(self._weights)
+        weights = [w for stage in self.stages for _, _, groups in stage for w, _ in groups]
+        return self._corner_matrix[False, False], self._alpha0, np.array(weights)
 
     # -- plumbing ---------------------------------------------------------
 

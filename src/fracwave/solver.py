@@ -166,8 +166,6 @@ class DiagonalPreconditioner:
     """Diagonal preconditioner applied multiplicatively, z = values * r."""
 
     values: np.ndarray
-    kind: str
-    space: str
 
     def apply(self, r, counter=None) -> np.ndarray:
         if counter is not None:
@@ -522,8 +520,10 @@ def _read_stats_entry(path: Path, n: int, key: str):
 
     Raises CacheEntryError unless the file is an npz archive built for
     ``key`` whose ``stats`` holds diag and rowsq as finite, positive
-    float64 grids of side n.
+    float64 grids of side n.  Each member's npy header is checked before
+    its data is read, since np.load allocates whatever it declares.
     """
+    expected = {"key": ((), np.array(key).dtype), "stats": ((2, n, n), np.dtype(np.float64))}
     # The entry's own handle: np.load stops owning a path's file once it
     # sees the zip magic, and would leave it open if the archive is cut.
     try:
@@ -532,20 +532,24 @@ def _read_stats_entry(path: Path, n: int, key: str):
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise CacheEntryError("not an npz archive")
             with data:
-                if not {"key", "stats"} <= set(data.files):
-                    raise CacheEntryError("no key or stats stored")
-                # A member that is not an .npy file loads as bytes.
-                stored_key, stats = np.asarray(data["key"]), np.asarray(data["stats"])
+                if not {"key.npy", "stats.npy"} <= set(data.zip.namelist()):
+                    raise CacheEntryError("no key.npy or stats.npy member")
+                for name, want in expected.items():
+                    with data.zip.open(f"{name}.npy") as member:
+                        version = np.lib.format.read_magic(member)
+                        header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                                  else np.lib.format.read_array_header_2_0)
+                        shape, _, dtype = header(member)
+                    if (shape, dtype) != want:
+                        raise CacheEntryError(f"{name} is {dtype} of shape {shape}, "
+                                              f"expected {want[1]} of shape {want[0]}")
+                stored_key, stats = data["key"], data["stats"]
     except CacheEntryError:
         raise
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise CacheEntryError(f"unreadable npz archive ({exc})") from exc
-    if stored_key.shape != () or stored_key.dtype.kind != "U" or str(stored_key) != key:
+    if str(stored_key) != key:
         raise CacheEntryError("built for another key")
-    if stats.shape != (2, n, n) or stats.dtype != np.float64:
-        raise CacheEntryError(
-            f"stats is {stats.dtype} of shape {stats.shape}, expected float64 of shape {(2, n, n)}"
-        )
     if not np.all(np.isfinite(stats) & (stats > 0)):
         raise CacheEntryError("stats has non-finite or non-positive values")
     return stats[0], stats[1]
@@ -600,10 +604,10 @@ class Reconstructor:
     def _stats_key(self, op: NormalOperator) -> str:
         h = hashlib.sha256()
         h.update(f"{CACHE_FORMAT} {op.space}".encode())
-        for values in self.fractal.coefficients:
+        for values in op.fractal.coefficients:
             h.update(values.tobytes())
-        h.update(self.pupil.subap_x.astype(np.int64).tobytes())
-        h.update(self.pupil.subap_y.astype(np.int64).tobytes())
+        h.update(op.sensor.pupil.subap_x.astype(np.int64).tobytes())
+        h.update(op.sensor.pupil.subap_y.astype(np.int64).tobytes())
         h.update(op.inv_var.tobytes())
         return h.hexdigest()
 
@@ -652,7 +656,7 @@ class Reconstructor:
             raise ValueError(f"unknown preconditioner kind {kind!r}")
         diag, rowsq = self._diagonal_stats(self.system(inv_var, space))
         values = 1.0 / diag if kind == "jacobi" else diag / rowsq
-        return DiagonalPreconditioner(values, kind, space)
+        return DiagonalPreconditioner(values)
 
     def reconstruct(self, slopes, config: SolverConfig, truth=None,
                     counter: FlopCounter | None = None):

@@ -323,6 +323,67 @@ def sample_passes(n):
     return np.maximum.outer(first, first)
 
 
+def exact_structure_function(op):
+    """The structure-function map an infinite ensemble of screens K u
+    would give, split by the pass that places each generator.
+
+    Returns a (p + 1, 2n - 1, 2n - 1) stack in the layout of
+    ``empirical_structure_function``, pass 0 (the corners) first; the sum
+    over passes is the map.  With c_j = K e_j, each generator j adds
+
+        sum over in-grid pairs (r, r + d) of (c_j(r) - c_j(r + d))**2,
+
+    over the pair count, at each offset d; so scaling the alpha0 of pass
+    l by f scales entry l by f**2.  A pass's columns are formed a colour
+    at a time: every member of one colour set to 1 and K applied once.
+    After its own pass a generator of half-cell h reaches 3h - 2 samples
+    per axis: an edge midpoint reads a same-pass centre h away, and each
+    finer pass, of half-cell g, spreads it 2g further.  Members of one
+    colour sit far enough apart that each one's window of that reach
+    holds its column alone; windows that miss any of a colour's energy
+    raise AssertionError.  The squares are pooled over the grid and the
+    cross terms from the windows' power spectra.
+    """
+    n, p = op.n, op.p
+    passes = sample_passes(n)
+    offsets = np.arange(-(n - 1), n)
+    counts = np.outer(n - np.abs(offsets), n - np.abs(offsets))
+    ones = np.zeros((2 * n, 2 * n))
+    ones[:n, :n] = 1.0
+    ones_spec = np.fft.rfft2(ones)
+    maps = np.empty((p + 1, 2 * n - 1, 2 * n - 1))
+    for level in range(p + 1):
+        h = (n - 1) >> level
+        reach = min(3 * h - 2, n - 1) if level else n - 1
+        width = 2 * reach + 1
+        stride = 2 * h * -(-width // (2 * h))  # a multiple of 2h, so one type per colour
+        y, x = np.nonzero(passes == level)
+        colour = np.unique((y % stride) * stride + x % stride, return_inverse=True)[1]
+        columns = np.zeros((colour.max() + 1, n, n))
+        columns[colour, y, x] = 1.0
+        op.apply(columns)
+        pad = np.pad(columns, ((0, 0), (reach, reach), (reach, reach)))
+        span = np.arange(width)
+        windows = pad[colour[:, None, None], y[:, None, None] + span[:, None],
+                      x[:, None, None] + span]
+        squares = columns * columns
+        if not np.isclose((windows * windows).sum(), squares.sum(), rtol=1e-12, atol=0.0):
+            raise AssertionError(f"a column of pass {level} reaches past its window")
+        size = 2 * width
+        spec = np.fft.rfft2(windows, s=(size, size))
+        autocorr = np.fft.irfft2((spec.real ** 2 + spec.imag ** 2).sum(axis=0), s=(size, size))
+        lag = min(2 * reach, n - 1)
+        cross = np.zeros((2 * n - 1, 2 * n - 1))
+        cross[n - 1 - lag: n + lag, n - 1 - lag: n + lag] = np.roll(
+            autocorr, (lag, lag), axis=(0, 1))[: 2 * lag + 1, : 2 * lag + 1]
+        pad = np.zeros((2 * n, 2 * n))
+        pad[:n, :n] = squares.sum(axis=0)
+        pairs = np.fft.irfft2(np.fft.rfft2(pad) * ones_spec.conj(), s=(2 * n, 2 * n))
+        pairs = np.roll(pairs, (n - 1, n - 1), axis=(0, 1))[: 2 * n - 1, : 2 * n - 1]
+        maps[level] = (pairs + pairs[::-1, ::-1] - 2.0 * cross) / counts
+    return maps
+
+
 def probe_reach(A):
     """Per pass 1..p of the operator A, the reach of each sample type.
 

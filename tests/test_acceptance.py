@@ -281,7 +281,7 @@ def test_criterion_7_flop_model():
             A = NormalOperator(op, sh, 1.0 / slopes.var, "u")
             # unit diagonal: flop-identical to the tuned one without its
             # one-time build, which criterion 5 already pays for
-            pre = DiagonalPreconditioner(np.ones((n, n)), kind="optimal", space="u")
+            pre = DiagonalPreconditioner(np.ones((n, n)))
 
             counter = FlopCounter()
             b = A.rhs([slopes], counter=counter)

@@ -301,6 +301,17 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert all(method in listed for method in VARIANTS)
 
 
+@pytest.mark.parametrize("command", ["sense", "reconstruct"])
+def test_an_input_path_that_is_no_file_exits_2(pipeline, capsys, command):
+    tmp_path, screen, _ = pipeline
+    before = sorted(tmp_path.rglob("*"))
+    for path in (tmp_path, screen / "x"):  # a directory, then a path under a file
+        assert main([command, str(path), "--out", str(tmp_path / "x.out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_malformed_slope_file_exits_2(pipeline, capsys):
     tmp_path, _, slopes = pipeline
     lines = slopes.read_text().splitlines()

@@ -5,7 +5,7 @@ import pytest
 
 from fracwave.fractal import (
     CoefficientError,
-    build_coefficients,
+    FractalOperator,
     diamond_coefficients,
     square_coefficients,
     triangle_coefficients,
@@ -67,20 +67,33 @@ def test_diamond_is_square_at_compressed_separation():
         )
 
 
-def test_build_coefficients_layout():
-    levels = build_coefficients(SF, P)
-    assert [lv.cell for lv in levels] == [1 << k for k in range(P, 0, -1)]
-    for lv in levels:
-        assert lv.square == square_coefficients(SF, lv.cell)
-        assert lv.triangle == triangle_coefficients(SF, lv.cell)
-        assert lv.diamond == diamond_coefficients(SF, lv.cell)
+def test_stage_table_holds_the_closed_form_weights():
+    # Passes run coarse to fine, cell 2**P down to 2, each as a centre
+    # stage and an edge stage (row midpoints, then the same on columns).
+    stages = FractalOperator(SF, P).stages
+    assert len(stages) == 2 * P
+    for k, (centre, edges) in enumerate(zip(stages[::2], stages[1::2])):
+        r = 1 << (P - k)
+        a0, ap = square_coefficients(SF, r)
+        t0, te, tc = triangle_coefficients(SF, r)
+        d0, dp = diamond_coefficients(SF, r)
+
+        def weights(stage):
+            return [(alpha0, [(w, len(parents)) for w, parents in groups])
+                    for _, alpha0, groups in stage]
+
+        assert weights(centre) == [(a0, [(ap, 4)])]
+        boundary = (t0, [(te, 2), (tc, 1)])
+        rows = [boundary, boundary if k == 0 else (d0, [(dp, 4)])]
+        assert weights(edges) == rows + rows
 
 
 def test_weights_positive_and_contracting():
     # Innovation must carry real variance and parents act as a weighted
     # average, or the recursion would amplify rather than interpolate.
-    for lv in build_coefficients(SF, P):
-        for weights in (lv.square, lv.triangle, lv.diamond):
+    for r in (1 << k for k in range(P, 0, -1)):
+        for weights in (square_coefficients(SF, r), triangle_coefficients(SF, r),
+                        diamond_coefficients(SF, r)):
             alpha0, rest = weights[0], weights[1:]
             assert alpha0 > 0
             assert all(0.0 < a < 1.0 for a in rest)

@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 from fracwave import fractal
 from fracwave.fractal import FractalOperator, build_outer_operator, scale_count
-from fracwave.metrics import FlopCounter, fractal_apply_flops
+from fracwave.metrics import (FlopCounter, empirical_structure_function, fractal_apply_flops,
+                              radial_profile)
 from fracwave.turbulence import kolmogorov
 
 from oracles import (
@@ -15,6 +16,7 @@ from oracles import (
     covariance_matrix,
     dense_generator_matrix,
     dense_grid_operator,
+    exact_structure_function,
     reference_map,
     sample_passes,
     stencil_schedule,
@@ -329,6 +331,36 @@ def test_radial_structure_function_tracks_law_with_known_deficit():
     ratio = v.measured[sel] / v.expected[sel]
     assert np.all(ratio > 0.80)
     assert np.all(ratio < 1.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_exact_structure_function_matches_pooling_every_column(p):
+    # Pass 2's alpha0 scaled by 1.3 (from p = 2 on) checks the per-pass
+    # split too: its entry must scale by 1.3**2.
+    _, op = make_op(p)
+    maps = exact_structure_function(op)
+    factors = np.where(np.arange(p + 1) == 2, 1.3, 1.0)
+    op._alpha0[sample_passes(op.n) == 2] *= 1.3
+    columns = op.apply(np.eye(op.n * op.n).reshape(-1, op.n, op.n))
+    pooled = op.n * op.n * empirical_structure_function(columns)
+    np.testing.assert_allclose(np.tensordot(factors ** 2, maps, 1), pooled,
+                               rtol=0, atol=1e-12 * pooled.max())
+
+
+# Worst |D / law - 1| of the exact map over the radial bins 1..2**(p - 1).
+EXACT_DEFICIT = {4: 0.116, 5: 0.169, 6: 0.213, 7: 0.249}
+
+
+@pytest.mark.parametrize("p", sorted(EXACT_DEFICIT))
+def test_exact_structure_function_runs_below_the_law_by_a_known_deficit(p):
+    # The same shortfall as the drawn screens show, without sampling
+    # noise; it grows with p, so a prior fitted at one p misses others.
+    sf, op = make_op(p)
+    radii, measured, expected = radial_profile(exact_structure_function(op).sum(axis=0),
+                                               theory=sf.evaluate)
+    ratio = (measured / expected)[radii <= 1 << (p - 1)]
+    assert np.all(ratio < 1.0)
+    assert np.abs(ratio - 1.0).max() == pytest.approx(EXACT_DEFICIT[p], abs=0.001)
 
 
 def test_screen_sample_statistics():

@@ -1,6 +1,7 @@
 """Normal equations, PCG, preconditioners, and the reconstruction front end."""
 
 import gc
+import io
 import itertools
 import logging
 import math
@@ -326,7 +327,7 @@ def test_colored_probe_rejects_coupling_beyond_its_stride():
 
 
 def test_preconditioner_apply_charges_one_multiply_per_sample():
-    pre = DiagonalPreconditioner(np.full((3, 3), 0.5), kind="jacobi", space="w")
+    pre = DiagonalPreconditioner(np.full((3, 3), 0.5))
     counter = FlopCounter()
     out = pre.apply(np.ones((3, 3)), counter=counter)
     np.testing.assert_array_equal(out, np.full((3, 3), 0.5))
@@ -362,7 +363,7 @@ def test_pcg_matches_direct_solve():
 def test_pcg_preconditioned_still_correct():
     m = random_spd(40, seed=3)
     b = np.random.default_rng(4).normal(size=40)
-    pre = DiagonalPreconditioner(1.0 / np.diag(m), "jacobi", "w")
+    pre = DiagonalPreconditioner(1.0 / np.diag(m))
     x, converged, _ = pcg_solve(
         rowwise(m), b[None], tol=1e-12, max_iter=200, preconditioner=pre
     )
@@ -412,7 +413,7 @@ def test_pcg_flop_accounting_exact():
     assert counter.tallies() == {"vector": expected}
 
     counter = FlopCounter()
-    pre = DiagonalPreconditioner(np.ones(size), kind="jacobi", space="w")
+    pre = DiagonalPreconditioner(np.ones(size))
     pcg_solve(
         rowwise(m), b[None], tol=1e-30, max_iter=3, counter=counter, preconditioner=pre
     )
@@ -426,7 +427,7 @@ def test_pcg_stack_follows_each_column_alone():
     b = np.random.default_rng(10).normal(size=(4, size))
     b[2] = 0.0  # done at the start
     b[3] = np.linalg.eigh(m)[1][:, 0]  # an eigenvector: done after one iteration
-    pre = DiagonalPreconditioner(1.0 / np.ones(size), "jacobi", "w")
+    pre = DiagonalPreconditioner(1.0 / np.ones(size))
     for preconditioner in (None, pre):
         rows = [[] for _ in b]
         previous = np.zeros_like(b)
@@ -489,7 +490,7 @@ def test_pcg_stack_flops_are_per_column_tallies_times_stack_size():
     assert counter.tallies() == {"vector": stack * single}
 
     counter = FlopCounter()
-    pre = DiagonalPreconditioner(np.ones(size), kind="jacobi", space="w")
+    pre = DiagonalPreconditioner(np.ones(size))
     pcg_solve(rowwise(m), b, tol=1e-30, max_iter=3, counter=counter, preconditioner=pre)
     assert counter.total == stack * (single + 3 * size)
     assert counter.tallies()["precond"] == stack * 3 * size
@@ -768,7 +769,6 @@ def test_preconditioner_values_match_dense_probe(system, tmp_path, kind):
     dense = dense_grid_operator(A.apply, N_SIDE)
     rec = Reconstructor(P, cache_dir=tmp_path)
     pre = rec.preconditioner(inv_var, "u", kind)
-    assert pre.kind == kind and pre.space == "u"
     diag = np.diag(dense)
     want = 1.0 / diag if kind == "jacobi" else diag / (dense * dense).sum(axis=1)
     np.testing.assert_allclose(pre.values.ravel(), want, rtol=1e-10)
@@ -899,6 +899,16 @@ def _spoil(path, kind, arrays, other_format_key):
         save(stats=stats[:, :-1])
     elif kind == "wrong-dtype":
         save(stats=stats.astype(np.float32))
+    elif kind == "huge-shape":
+        # A stats header declaring more bytes than any address space holds,
+        # over no data: refused before anything is allocated.
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (2, 10**8, 10**8)})
+        with zipfile.ZipFile(path, "w") as archive:
+            with archive.open("key.npy", "w") as member:
+                np.save(member, arrays["key"])
+            archive.writestr("stats.npy", header.getvalue())
     elif kind == "non-finite":
         bad = stats.copy()
         bad[1, 2, 3] = np.nan
@@ -918,7 +928,8 @@ def _spoil(path, kind, arrays, other_format_key):
 @pytest.mark.parametrize(
     "kind",
     ["not-zip", "truncated-zip", "plain-npy", "raw-members", "missing-array", "wrong-shape",
-     "wrong-dtype", "non-finite", "non-positive", "no-key", "other-version", "other-key"],
+     "wrong-dtype", "huge-shape", "non-finite", "non-positive", "no-key", "other-version",
+     "other-key"],
 )
 def test_unusable_cache_entry_is_rebuilt(system, tmp_path, caplog, monkeypatch, kind):
     _, _, _, _, _, slopes = system

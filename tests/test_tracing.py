@@ -7,7 +7,9 @@ map a cold preconditioner build runs and every iteration of each column
 of a stacked solve, which its per-layer figures count.
 """
 
+import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import fracwave.solver as solver
@@ -71,3 +73,22 @@ def test_benchmark_tracer_wraps_and_restores_its_targets(monkeypatch, tmp_path):
     # one residual per monitor call, iterations 0..4, and one Strehl read
     assert layers["metrics.diagnostics_calls"] == 6
     assert layers["solver.cache_builds"] == 1
+
+
+def test_benchmark_imports_only_names_fracwave_has():
+    # The benchmark imports the library by name, some of it inside
+    # functions, so a name deleted from fracwave would show only when the
+    # benchmark runs.  The files are parsed, never run.
+    found = []
+    for name in ("run.py", "tracing.py", "reference.py"):
+        for node in ast.walk(ast.parse((BENCHMARK / name).read_text())):
+            if isinstance(node, ast.Import):
+                found += [(alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found += [(node.module, alias.name) for alias in node.names]
+    found = [(module, attr) for module, attr in found if module.split(".")[0] == "fracwave"]
+    assert ("fracwave", "build_outer_operator") in found  # reference.py, inside a function
+    for module, attr in found:
+        owner = importlib.import_module(module)
+        assert attr is None or hasattr(owner, attr) or importlib.util.find_spec(
+            f"{module}.{attr}"), f"{module}.{attr}"
