@@ -22,6 +22,7 @@ applications, a one-time cost that is cached on disk.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -289,18 +290,17 @@ def operator_diagonal_stats(op: NormalOperator):
     at pass p - 1 and 21 at pass p, and 17 per w-space pass: 208 u-space
     probes at p=6, O(N log N) work in all.
 
-    The colours of all passes go through A as one stream of batches of as
-    many grids as fit ``PROBE_BATCH_BYTES``, and at least
-    ``PROBE_BATCH_FLOOR``; only the last batch may be smaller, so the
-    multiscale maps bind at most two programs per build.  One basis
-    stack, sized by the first batch, is refilled in place, and a u-space
+    The colours of all passes are listed up front and go through A as
+    consecutive batches of as many grids as fit ``PROBE_BATCH_BYTES``,
+    and at least ``PROBE_BATCH_FLOOR``; only the last batch may be
+    smaller, so the multiscale maps bind at most two programs per build.
+    One basis stack of the batch size is refilled in place, and a u-space
     operator gets one screen buffer of the same size.  Each batch's maps
-    run only over the passes from its coarsest colour's on.
-    Colours are formed lazily, one batch at a time.  Each pass logs one
-    INFO progress line, with its strides, when its last probe is read,
-    timed from the previous pass's line (a batch that spans two passes
-    counts toward the first), and the build one summary with its batch
-    count and largest stack.
+    run only over the passes from its coarsest colour's on.  Each pass
+    logs one INFO progress line, with its strides, when its last probe is
+    read, timed from the previous pass's line (a batch that spans two
+    passes counts toward the first), and the build one summary with its
+    batch count and largest stack.
 
     A row of the probe's pass or finer outside its colour's owned block
     must read exactly zero; a nonzero there means the operator couples
@@ -308,50 +308,27 @@ def operator_diagonal_stats(op: NormalOperator):
     """
     n = op.n
     p = scale_count(n)
-    batch_size = max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * n * n))
+    colours = list(_probe_colours(n, op.space))
+    batch = min(len(colours), max(PROBE_BATCH_FLOOR, PROBE_BATCH_BYTES // (8 * n * n)))
     start = pass_start = time.perf_counter()
     diag = np.zeros((n, n))
     rowsq = np.zeros((n, n))
     finer = np.zeros((n, n))  # squares read at the current pass, for its finer rows
     sq = np.empty((n, n))
-    level = None
-    pass_probes = probes = batches = 0
-    basis = screen = None
-
-    def finish_pass():
-        # A row from a strictly finer pass gets every square it read; the
-        # lattice of this pass holds the others.
-        step = (n - 1) >> level
-        finer[::step, ::step] = 0.0
-        rowsq[...] += finer
-        finer[...] = 0.0
-        strides = "corners"
-        if level:
-            strides = "strides " + ", ".join(
-                f"{kind} {sy}x{sx}" for kind, (sy, sx) in probe_strides(op.space, level, p).items())
-        log.info("%s-space probe pass %d/%d: %s; %d probes in %.3f s",
-                 op.space, level, p, strides, pass_probes, time.perf_counter() - pass_start)
-
-    stream = _probe_colours(n, op.space)
-    while batch := list(itertools.islice(stream, batch_size)):
-        if basis is None:
-            # The first batch is the largest: every later one is as large
-            # or is the stream's last.
-            basis = np.zeros((len(batch), n, n))
-            screen = np.empty_like(basis) if op.space == "u" else None
-        grids = basis[: len(batch)]
-        for grid, (_, (y_members, *_), (x_members, *_)) in zip(grids, batch):
+    basis = np.zeros((batch, n, n))
+    screen = np.empty_like(basis) if op.space == "u" else None
+    probes = collections.Counter(level for level, _, _ in colours)
+    unread = probes.copy()
+    for at in range(0, len(colours), batch):
+        chunk = colours[at:at + batch]
+        grids = basis[: len(chunk)]
+        for grid, (_, (y_members, *_), (x_members, *_)) in zip(grids, chunk):
             grid[y_members, x_members] = 1.0
-        ys = op.apply(grids, screen=None if screen is None else screen[: len(batch)],
-                      first=batch[0][0])
-        for grid, y, (colour_level, y_colour, x_colour) in zip(grids, ys, batch):
+        ys = op.apply(grids, screen=None if screen is None else screen[: len(chunk)],
+                      first=chunk[0][0])
+        for grid, y, (level, y_colour, x_colour) in zip(grids, ys, chunk):
             y_members, rows, y_starts = y_colour
             x_members, cols, x_starts = x_colour
-            if colour_level != level:
-                if level is not None:
-                    finish_pass()
-                    pass_start = time.perf_counter()
-                level, pass_probes = colour_level, 0
             if level:
                 coarse = (n - 1) >> (level - 1)
                 y[::coarse, ::coarse] = 0.0  # rows of coarser passes
@@ -365,13 +342,25 @@ def operator_diagonal_stats(op: NormalOperator):
             rowsq[y_members, x_members] += np.add.reduceat(block, x_starts, axis=1)
             finer += sq
             grid[y_members, x_members] = 0.0
-            pass_probes += 1
-        probes += len(batch)
-        batches += 1
-    finish_pass()
+            unread[level] -= 1
+            if unread[level]:
+                continue
+            # The pass's last probe: a row from a strictly finer pass gets
+            # every square it read; the lattice of this pass holds the others.
+            step = (n - 1) >> level
+            finer[::step, ::step] = 0.0
+            rowsq += finer
+            finer[...] = 0.0
+            strides = "corners"
+            if level:
+                strides = "strides " + ", ".join(f"{kind} {sy}x{sx}" for kind, (sy, sx)
+                                                 in probe_strides(op.space, level, p).items())
+            log.info("%s-space probe pass %d/%d: %s; %d probes in %.3f s",
+                     op.space, level, p, strides, probes[level], time.perf_counter() - pass_start)
+            pass_start = time.perf_counter()
     log.info("built %s-space preconditioner statistics at p=%d: %d probes in %d batches "
-             "of at most %d grids (%d KiB) in %.3f s", op.space, p, probes, batches,
-             basis.shape[0], basis.nbytes >> 10, time.perf_counter() - start)
+             "of at most %d grids (%d KiB) in %.3f s", op.space, p, len(colours),
+             -(-len(colours) // batch), batch, basis.nbytes >> 10, time.perf_counter() - start)
     return diag, rowsq
 
 

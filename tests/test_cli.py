@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fracwave
+import fracwave.solver as solver
 from fracwave import cli
 from fracwave.cli import main
 from fracwave.fileio import read_grid, read_slopes_csv
@@ -322,6 +323,20 @@ def test_malformed_slope_file_exits_2(pipeline, capsys):
     out = tmp_path / "never.bin"
     assert main(["reconstruct", str(bad), "--out", str(out)]) == 2
     assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unexpected_failure_exits_1_without_output(pipeline, capsys, monkeypatch):
+    tmp_path, _, slopes = pipeline
+    monkeypatch.setenv("FRACWAVE_CACHE", str(tmp_path / "cache"))
+
+    def fail(op):
+        raise RuntimeError("probe went wrong")
+
+    monkeypatch.setattr(solver, "operator_diagonal_stats", fail)
+    out = tmp_path / "never.bin"
+    assert main(["reconstruct", str(slopes), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "runtime error: probe went wrong\n"
     assert not out.exists()
 
 

@@ -42,7 +42,17 @@ def test_grid_rejects_non_square(tmp_path):
         write_grid(tmp_path / "w.bin", np.zeros((3, 4)))
 
 
-@pytest.mark.parametrize("mangle", ["magic", "version", "truncate"])
+# Each corruption and the refusal it must meet.
+GRID_CORRUPTIONS = {
+    "magic": "bad magic",
+    "version": "unsupported version",
+    "truncate": "payload bytes",
+    "short-header": "truncated grid header",
+    "nan-sample": "non-finite",
+}
+
+
+@pytest.mark.parametrize("mangle", sorted(GRID_CORRUPTIONS))
 def test_grid_read_rejects_corruption(tmp_path, grid, mangle):
     path = tmp_path / "w.bin"
     write_grid(path, grid)
@@ -51,10 +61,14 @@ def test_grid_read_rejects_corruption(tmp_path, grid, mangle):
         raw[:4] = b"JUNK"
     elif mangle == "version":
         raw[4] = 9
-    else:
+    elif mangle == "truncate":
         raw = raw[:100]
+    elif mangle == "short-header":
+        raw = raw[:11]
+    else:
+        raw[12 + 8 * 40:12 + 8 * 41] = np.array(np.nan, dtype="<f8").tobytes()
     path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=GRID_CORRUPTIONS[mangle]):
         read_grid(path)
 
 
@@ -180,6 +194,8 @@ BAD_SLOPE_FILES = {
     "short-row": lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:],
     "long-row": lambda lines: lines[:4] + [lines[4] + ",1.0"] + lines[5:],
     "short-first-row": lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+    "five-field-rows": lambda lines: lines[:2] + [line.rsplit(",", 1)[0] for line in lines[2:]],
+    "seven-field-rows": lambda lines: lines[:2] + [line + ",1.0" for line in lines[2:]],
     "empty-body": lambda lines: lines[:2],
     "nan-dx": lambda lines: _set_field(lines, 3, 3, "nan"),
     "inf-var": lambda lines: _set_field(lines, 3, 5, "inf"),

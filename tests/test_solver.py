@@ -158,6 +158,19 @@ def test_normal_operator_rejects_unknown_space(system):
         NormalOperator(op, sh, 1.0 / slopes.var, "q")
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda w: w[:-1], "one inverse variance per subaperture"),
+    (lambda w: w[None], "one inverse variance per subaperture"),
+    (lambda w: np.where(np.arange(w.size) == 3, -1e-3, w), "finite and nonnegative"),
+    (lambda w: np.where(np.arange(w.size) == 3, np.nan, w), "finite and nonnegative"),
+    (lambda w: np.where(np.arange(w.size) == 3, np.inf, w), "finite and nonnegative"),
+], ids=["short", "2-d", "negative", "nan", "inf"])
+def test_normal_operator_rejects_bad_inverse_variances(system, edit, message):
+    _, op, _, sh, _, slopes = system
+    with pytest.raises(ValueError, match=message):
+        NormalOperator(op, sh, edit(1.0 / slopes.var), "u")
+
+
 # -- diagonal probing --------------------------------------------------------
 
 
@@ -830,16 +843,21 @@ def test_cache_holds_one_entry_per_space_and_grid(system, tmp_path, caplog):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"diag-u-p{P}.npz", f"diag-w-p{P}.npz"]
 
 
-@pytest.mark.parametrize("space, kind", [("u", "jacobii"), ("../u", "optimal")])
+@pytest.mark.parametrize("space, kind, weight, message", [
+    pytest.param("u", "jacobii", 1.0, "kind", id="u-jacobii"),
+    pytest.param("../u", "optimal", 1.0, "space", id="../u-optimal"),
+    pytest.param("u", "optimal", -1.0, "inverse variances", id="u-optimal-negative-weight"),
+    pytest.param("w", "jacobi", math.nan, "inverse variances", id="w-jacobi-nan-weight"),
+])
 def test_preconditioner_checks_its_request_before_the_cache(system, tmp_path, monkeypatch,
-                                                            space, kind):
+                                                            space, kind, weight, message):
     def refuse(op):
         raise AssertionError("the probe ran")
 
     monkeypatch.setattr(solver, "operator_diagonal_stats", refuse)
     rec = Reconstructor(P, cache_dir=tmp_path / "cache")
-    with pytest.raises(ValueError, match="kind" if space == "u" else "space"):
-        rec.preconditioner(np.ones(rec.pupil.nsub), space, kind)
+    with pytest.raises(ValueError, match=message):
+        rec.preconditioner(np.full(rec.pupil.nsub, weight), space, kind)
     assert not (tmp_path / "cache").exists()
 
 

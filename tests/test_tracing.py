@@ -4,7 +4,9 @@
 so renaming or moving one of them breaks ``benchmark/run.py --trace 1``
 with a KeyError; this test fails first.  It also sees every multiscale
 map a cold preconditioner build runs and every iteration of each column
-of a stacked solve, which its per-layer figures count.
+of a stacked solve, which its per-layer figures count.  The benchmark's
+dense reference must build the package's K, or its accuracy check reads
+a change to the prior as estimate error.
 """
 
 import ast
@@ -12,11 +14,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fracwave.solver as solver
 from fracwave.fileio import write_trace_csv
+from fracwave.fractal import FractalOperator, build_outer_operator
 from fracwave.harness import draw_screen, trial_generator
 from fracwave.sensor import simulate_measurements
 from fracwave.solver import Reconstructor, SolverConfig
+from fracwave.turbulence import kolmogorov
+
+from oracles import dense_grid_operator
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -92,3 +101,19 @@ def test_benchmark_imports_only_names_fracwave_has():
         owner = importlib.import_module(module)
         assert attr is None or hasattr(owner, attr) or importlib.util.find_spec(
             f"{module}.{attr}"), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_benchmark_reference_builds_the_package_prior(monkeypatch, p):
+    # benchmark/reference.py assembles K from the closed-form law in its
+    # own code, from the inputs its main() passes.  A change to the
+    # package's weights shows here, not as a seed-dependent miss of the
+    # benchmark's dense-estimate check.
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    reference = importlib.import_module("reference")
+    n = (1 << p) + 1
+    sf = kolmogorov(1.0, float(n - 1))
+    outer = build_outer_operator(sf, float(n - 1)).forward_matrix
+    want = reference.generator_matrix(sf, p, outer)
+    got = dense_grid_operator(FractalOperator(sf, p).apply, n)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
